@@ -17,9 +17,9 @@
 #    just as green tests.
 #
 # --san builds a separate instrumented tree (-DPARFW_SAN=<san>) and runs
-# the concurrency-heavy suites under it — mpisim ranks are real OS
-# threads, so `--san thread` is the data-race gate for the runtime and
-# the trace sinks.
+# the concurrency-heavy suites under it — mpisim ranks and devsim streams
+# are real OS threads, so `--san thread` is the data-race gate for the
+# runtime, the trace sinks and the ooGSrGemm host/stream handoff.
 #
 # --faults is the resilience gate: the fault-injection matrix and the
 # crash-restart suites under AddressSanitizer, so recovery paths
@@ -439,11 +439,14 @@ if [[ -n "$san" ]]; then
   cmake -B "$build_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DPARFW_SAN="$san" -DPARFW_BUILD_BENCH=OFF -DPARFW_BUILD_EXAMPLES=OFF
   cmake --build "$build_dir" -j"$(nproc)" \
-    --target test_mpisim_stress test_mpisim test_sched test_telemetry
+    --target test_mpisim_stress test_mpisim test_sched test_telemetry \
+    test_offload test_devsim
   "$build_dir/tests/test_mpisim_stress"
   "$build_dir/tests/test_mpisim"
   "$build_dir/tests/test_sched"
   "$build_dir/tests/test_telemetry"
+  "$build_dir/tests/test_offload"
+  "$build_dir/tests/test_devsim"
   echo "check.sh --san $san: OK"
   exit 0
 fi

@@ -13,10 +13,19 @@
 // With s ≥ 3 streams all three phases overlap (paper Figure 2; cost
 // max{t0,t1,t2} per §4.5).
 //
-// A_i / B_j are uploaded to the device once, on first use, and reused for
-// every block in their row/column (§4.4's panel-caching pipeline).
+// One chunk pipeline (detail::oog_pipeline) implements this for every
+// entry point. It has two variation points, both plain arguments:
+//   * panel source — host views uploaded once, on first use, into device
+//     panel caches behind per-panel upload fences and reused for every
+//     chunk in their row/column (§4.4's panel-caching pipeline); or
+//     device-resident panels read in place, with no uploads at all;
+//   * payload — values only, or values plus predecessors: B's pred panel
+//     rides the B uploads, each chunk carries an Xpred image beside X, and
+//     hostUpdate merges both.
+// oog_srgemm, oog_srgemm_pred and oog_srgemm_device are thin forwards.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -60,6 +69,278 @@ struct OogStats {
   std::size_t elems_d2h = 0;  ///< result downloads: m * n (padded chunks)
 };
 
+namespace detail {
+
+/// Where the chunk products read A (m x k) and B (k x n). With dA null the
+/// host views A/B are uploaded on first use; otherwise dA/dB address
+/// device-resident blocks with leading dimensions lda/ldb.
+template <typename T>
+struct PanelSource {
+  MatrixView<const T> A, B;
+  const T* dA = nullptr;
+  std::size_t lda = 0;
+  const T* dB = nullptr;
+  std::size_t ldb = 0;
+};
+
+/// The ooGSrGemm chunk pipeline. Passing pred views (predC non-null)
+/// selects the values+predecessors payload; it needs host panels.
+///
+/// Accounting is payload-independent where the §4.5 model reads it:
+/// OogStats counts VALUE elements only, while the oog.bytes_h2d/d2h
+/// counters and the per-chunk trace bytes include the pred lane, which is
+/// what makes the paths overhead visible to telemetry.
+template <typename S>
+OogStats oog_pipeline(dev::Device& device,
+                      const PanelSource<typename S::value_type>& src,
+                      std::size_t k, MatrixView<typename S::value_type> C,
+                      MatrixView<const std::int64_t> predB,
+                      MatrixView<std::int64_t> predC, const OogConfig& cfg) {
+  using T = typename S::value_type;
+  using P = std::int64_t;
+  PARFW_CHECK(cfg.mx > 0 && cfg.nx > 0 && cfg.num_streams > 0);
+  OogStats stats;
+  if (C.empty() || k == 0) return stats;
+
+  const bool resident = src.dA != nullptr;
+  const bool paths = predC.data() != nullptr;
+  PARFW_CHECK(!(resident && paths));
+  const std::size_t m = C.rows(), n = C.cols();
+  const std::size_t mb = (m + cfg.mx - 1) / cfg.mx;
+  const std::size_t nb = (n + cfg.nx - 1) / cfg.nx;
+  const std::size_t s = cfg.num_streams;
+  const std::size_t ldx = cfg.nx;
+  const std::size_t elem = sizeof(T) + (paths ? sizeof(P) : 0);
+
+  // Device panel caches (host source only), then the X (and Xpred) ring
+  // and its host-side d2h landing zones.
+  dev::DeviceBuffer<T> dA, dB;
+  dev::DeviceBuffer<P> dPB;
+  if (!resident) {
+    dA = device.alloc<T>(m * k);
+    dB = device.alloc<T>(k * n);
+    if (paths) dPB = device.alloc<P>(k * n);
+  }
+  // dB is stored column-chunked: panel j occupies rows [0,k) x [c0, c0+nc)
+  // of a k x n row-major device image (the pred ids share that layout).
+  const T* a_base = resident ? src.dA : dA.data();
+  const T* b_base = resident ? src.dB : dB.data();
+  const std::size_t lda = resident ? src.lda : k;
+  const std::size_t ldb = resident ? src.ldb : n;
+
+  std::vector<dev::DeviceBuffer<T>> X;
+  std::vector<dev::DeviceBuffer<P>> XP;
+  std::vector<AlignedBuffer<T>> staging;
+  std::vector<AlignedBuffer<P>> staging_pred;
+  for (std::size_t r = 0; r < s; ++r) {
+    X.push_back(device.alloc<T>(cfg.mx * cfg.nx));
+    if (paths) XP.push_back(device.alloc<P>(cfg.mx * cfg.nx));
+    staging.emplace_back(cfg.mx * cfg.nx);
+    if (paths) staging_pred.emplace_back(cfg.mx * cfg.nx);
+  }
+  std::vector<dev::Device::StreamPtr> streams;
+  streams.reserve(s);
+  for (std::size_t r = 0; r < s; ++r) streams.push_back(device.create_stream());
+
+  // Upload fences: consumers of a cached panel wait on its upload event.
+  // Resident panels start out "uploaded" and are never fenced.
+  std::vector<dev::Event> a_ready(mb), b_ready(nb);
+  std::vector<bool> a_up(mb, resident), b_up(nb, resident);
+
+  auto upload_a = [&](std::size_t i, std::size_t nr, dev::Stream& st) {
+    const std::size_t r0 = i * cfg.mx;
+    // Row panels of A are contiguous only when A.ld() == k; copy row-wise.
+    for (std::size_t row = 0; row < nr; ++row)
+      device.memcpy_h2d(st, dA.data() + (r0 + row) * k,
+                        src.A.data() + (r0 + row) * src.A.ld(),
+                        k * sizeof(T));
+    stats.elems_h2d += nr * k;
+    if (cfg.metrics)
+      cfg.metrics->counter("oog.bytes_h2d").add(nr * k * sizeof(T));
+    a_ready[i] = st.record();
+    a_up[i] = true;
+  };
+  auto upload_b = [&](std::size_t j, std::size_t nc, dev::Stream& st) {
+    const std::size_t c0 = j * cfg.nx;
+    for (std::size_t row = 0; row < k; ++row) {
+      device.memcpy_h2d(st, dB.data() + row * n + c0,
+                        src.B.data() + row * src.B.ld() + c0, nc * sizeof(T));
+      if (paths)
+        device.memcpy_h2d(st, dPB.data() + row * n + c0,
+                          predB.data() + row * predB.ld() + c0,
+                          nc * sizeof(P));
+    }
+    stats.elems_h2d += k * nc;
+    if (cfg.metrics) cfg.metrics->counter("oog.bytes_h2d").add(k * nc * elem);
+    b_ready[j] = st.record();
+    b_up[j] = true;
+  };
+
+  struct Pending {
+    dev::Event done;
+    std::size_t r0, c0, nr, nc, r;
+    std::uint64_t seq;
+  };
+  std::deque<Pending> inflight;
+  // Device-pipeline causality: chunk launch ("oogDev", kSend) joins the
+  // host's completion wait ("oogWait", kRecv) through a per-rank device
+  // channel — the offload analogue of a message edge.
+  std::uint64_t chunk_seq = 0;
+  const std::uint64_t dev_ctx =
+      sched::kDeviceChannelCtx + static_cast<std::uint64_t>(cfg.trace_rank);
+
+  auto host_update = [&](const Pending& p) {
+    const bool timed = cfg.trace != nullptr || cfg.metrics != nullptr;
+    const double t0 = timed ? sched::now_seconds() : 0.0;
+    MatrixView<const T> xv(staging[p.r].data(), p.nr, p.nc, ldx);
+    if (paths)
+      srgemm::ewise_add_with_pred<S>(
+          xv, MatrixView<const P>(staging_pred[p.r].data(), p.nr, p.nc, ldx),
+          C.sub(p.r0, p.c0, p.nr, p.nc), predC.sub(p.r0, p.c0, p.nr, p.nc),
+          cfg.gemm.pool);
+    else
+      srgemm::ewise_add<S>(xv, C.sub(p.r0, p.c0, p.nr, p.nc), cfg.gemm.pool);
+    if (timed) {
+      const double t1 = sched::now_seconds();
+      if (cfg.trace)
+        cfg.trace->record(sched::TraceEvent{
+            cfg.trace_rank, "oogHost", 0, t0, t1,
+            static_cast<std::int64_t>(p.nr * p.nc * elem), 0.0});
+      if (cfg.metrics)
+        cfg.metrics->histogram("oog.host_update_seconds").observe(t1 - t0);
+    }
+  };
+  auto retire = [&] {
+    const Pending p = inflight.front();
+    inflight.pop_front();
+    const double t0 = cfg.trace ? sched::now_seconds() : 0.0;
+    p.done.wait();
+    if (cfg.trace) {
+      sched::TraceEvent e{cfg.trace_rank, "oogWait", 0, t0,
+                          sched::now_seconds(), 0, 0.0};
+      e.ek = sched::EventKind::kRecv;
+      e.peer = cfg.trace_rank;
+      e.ctx = dev_ctx;
+      e.seq = p.seq;
+      cfg.trace->record(e);
+    }
+    host_update(p);
+  };
+
+  std::size_t next_stream = 0;
+  for (std::size_t i = 0; i < mb; ++i) {
+    for (std::size_t j = 0; j < nb; ++j) {
+      const std::size_t r = next_stream;
+      next_stream = (next_stream + 1) % s;
+      dev::Stream& st = *streams[r];
+      const std::size_t r0 = i * cfg.mx, c0 = j * cfg.nx;
+      const std::size_t nr = std::min(cfg.mx, m - r0);
+      const std::size_t nc = std::min(cfg.nx, n - c0);
+
+      // Retire the oldest chunk on this buffer before reusing it.
+      if (inflight.size() >= s) retire();
+
+      if (!a_up[i]) upload_a(i, nr, st);
+      if (!b_up[j]) upload_b(j, nc, st);
+      const dev::Event a_ev = a_ready[i];
+      const dev::Event b_ev = b_ready[j];
+
+      T* xr = X[r].data();
+      P* xpr = paths ? XP[r].data() : nullptr;
+      const T* a_panel = a_base + r0 * lda;
+      const T* b_panel = b_base + c0;
+      const P* pb_panel = paths ? dPB.data() + c0 : nullptr;
+      const srgemm::Config gemm = cfg.gemm;
+      device.launch(st, [=] {
+        if (!resident) {
+          a_ev.wait();  // cross-stream dependency on the cached uploads
+          b_ev.wait();
+        }
+        MatrixView<T> xv(xr, nr, nc, ldx);
+        xv.fill(S::zero());
+        const MatrixView<const T> a(a_panel, nr, k, lda);
+        const MatrixView<const T> b(b_panel, k, nc, ldb);
+        if (!paths) {
+          // The device panels are dense and reused across every chunk in
+          // their row/column — the prepacked fast path (§4.4).
+          srgemm::multiply_prepacked<S>(a, b, xv, gemm);
+        } else {
+          // X starts at zero(), so Xpred gets the FIRST t attaining the
+          // chunk minimum; lanes left at zero() can never strictly improve
+          // C, so the -1 filler is never observed by the host merge — the
+          // composition is bit-identical to multiply_with_pred run on C.
+          MatrixView<P> xpv(xpr, nr, nc, ldx);
+          xpv.fill(P{-1});
+          srgemm::multiply_with_pred<S>(
+              a, b, xv, MatrixView<const P>(pb_panel, k, nc, ldb), xpv, gemm);
+        }
+      });
+      // d2hXfer of the nr x nc chunk at the buffer stride.
+      const std::size_t span = (nr - 1) * ldx + nc;
+      device.memcpy_d2h(st, staging[r].data(), xr, span * sizeof(T));
+      if (paths)
+        device.memcpy_d2h(st, staging_pred[r].data(), xpr, span * sizeof(P));
+      stats.elems_d2h += nr * nc;
+
+      inflight.push_back(Pending{st.record(), r0, c0, nr, nc, r, chunk_seq});
+      if (cfg.trace) {
+        const double t = sched::now_seconds();
+        sched::TraceEvent e{cfg.trace_rank, "oogDev", 0, t, t,
+                            static_cast<std::int64_t>(nr * nc * elem), 0.0};
+        e.ek = sched::EventKind::kSend;
+        e.peer = cfg.trace_rank;
+        e.ctx = dev_ctx;
+        e.seq = chunk_seq;
+        cfg.trace->record(e);
+      }
+      ++chunk_seq;
+      if (cfg.metrics) {
+        cfg.metrics->counter("oog.bytes_d2h").add(span * elem);
+        const double depth = static_cast<double>(inflight.size());
+        cfg.metrics->gauge("oog.inflight_depth").set(depth);
+        cfg.metrics->gauge("oog.inflight_max").update_max(depth);
+      }
+    }
+  }
+
+  while (!inflight.empty()) retire();
+  stats.blocks = mb * nb;
+  return stats;
+}
+
+}  // namespace detail
+
+/// C ← C ⊕ A ⊗ B with host panels A and B.
+template <typename S>
+OogStats oog_srgemm(dev::Device& device,
+                    MatrixView<const typename S::value_type> A,
+                    MatrixView<const typename S::value_type> B,
+                    MatrixView<typename S::value_type> C,
+                    const OogConfig& cfg = {}) {
+  PARFW_CHECK(A.rows() == C.rows() && B.cols() == C.cols() &&
+              A.cols() == B.rows());
+  return detail::oog_pipeline<S>(device, {A, B}, A.cols(), C, {}, {}, cfg);
+}
+
+/// ooGSrGemm with predecessor tracking: C ← C ⊕ A ⊗ B where every strict
+/// improvement also rewrites predC(i,j) ← predB(t,j). Bit-identical to
+/// srgemm::multiply_with_pred on the same operands.
+template <typename S>
+OogStats oog_srgemm_pred(dev::Device& device,
+                         MatrixView<const typename S::value_type> A,
+                         MatrixView<const typename S::value_type> B,
+                         MatrixView<typename S::value_type> C,
+                         MatrixView<const std::int64_t> predB,
+                         MatrixView<std::int64_t> predC,
+                         const OogConfig& cfg = {}) {
+  PARFW_CHECK(A.rows() == C.rows() && B.cols() == C.cols() &&
+              A.cols() == B.rows());
+  PARFW_CHECK(predB.rows() == B.rows() && predB.cols() == B.cols());
+  PARFW_CHECK(predC.rows() == C.rows() && predC.cols() == C.cols());
+  return detail::oog_pipeline<S>(device, {A, B}, A.cols(), C, predB, predC,
+                                 cfg);
+}
+
 /// Variant for DEVICE-RESIDENT panels: dA addresses an m x k block with
 /// leading dimension lda inside a device image; dB a k x n block with
 /// leading dimension ldb (e.g. the panels the offload FW just produced
@@ -72,547 +353,14 @@ OogStats oog_srgemm_device(dev::Device& device,
                            const typename S::value_type* dB, std::size_t ldb,
                            std::size_t m, std::size_t n, std::size_t k,
                            MatrixView<typename S::value_type> C,
-                           const OogConfig& cfg = {});
-
-template <typename S>
-OogStats oog_srgemm(dev::Device& device,
-                    MatrixView<const typename S::value_type> A,
-                    MatrixView<const typename S::value_type> B,
-                    MatrixView<typename S::value_type> C,
-                    const OogConfig& cfg = {}) {
-  using T = typename S::value_type;
-  PARFW_CHECK(A.rows() == C.rows() && B.cols() == C.cols() &&
-              A.cols() == B.rows());
-  PARFW_CHECK(cfg.mx > 0 && cfg.nx > 0 && cfg.num_streams > 0);
-  OogStats stats;
-  if (C.empty() || A.cols() == 0) return stats;
-
-  const std::size_t m = C.rows(), n = C.cols(), k = A.cols();
-  const std::size_t mb = (m + cfg.mx - 1) / cfg.mx;
-  const std::size_t nb = (n + cfg.nx - 1) / cfg.nx;
-  const std::size_t s = cfg.num_streams;
-
-  // Device-resident panel caches (uploaded on first use) and X buffers.
-  dev::DeviceBuffer<T> dA = device.alloc<T>(m * k);
-  dev::DeviceBuffer<T> dB = device.alloc<T>(k * n);
-  std::vector<dev::DeviceBuffer<T>> X;
-  std::vector<AlignedBuffer<T>> staging;  // host-side d2h landing zones
-  X.reserve(s);
-  staging.reserve(s);
-  for (std::size_t r = 0; r < s; ++r) {
-    X.push_back(device.alloc<T>(cfg.mx * cfg.nx));
-    staging.emplace_back(cfg.mx * cfg.nx);
-  }
-
-  std::vector<dev::Device::StreamPtr> streams;
-  streams.reserve(s);
-  for (std::size_t r = 0; r < s; ++r) streams.push_back(device.create_stream());
-
-  // Upload events: consumers of a cached panel wait on its upload fence.
-  std::vector<dev::Event> a_ready(mb), b_ready(nb);
-  std::vector<bool> a_up(mb, false), b_up(nb, false);
-
-  auto upload_a = [&](std::size_t i, dev::Stream& st) {
-    const std::size_t r0 = i * cfg.mx;
-    const std::size_t nr = std::min(cfg.mx, m - r0);
-    // Row panels of A are contiguous only when A.ld() == k; copy row-wise.
-    for (std::size_t row = 0; row < nr; ++row)
-      device.memcpy_h2d(st, dA.data() + (r0 + row) * k,
-                        A.data() + (r0 + row) * A.ld(), k * sizeof(T));
-    stats.elems_h2d += nr * k;
-    if (cfg.metrics)
-      cfg.metrics->counter("oog.bytes_h2d").add(nr * k * sizeof(T));
-    a_ready[i] = st.record();
-    a_up[i] = true;
-  };
-  auto upload_b = [&](std::size_t j, dev::Stream& st) {
-    const std::size_t c0 = j * cfg.nx;
-    const std::size_t nc = std::min(cfg.nx, n - c0);
-    // dB stored column-chunked: panel j occupies rows [0,k) x [c0, c0+nc)
-    // of a k x n row-major device image.
-    for (std::size_t row = 0; row < k; ++row)
-      device.memcpy_h2d(st, dB.data() + row * n + c0,
-                        B.data() + row * B.ld() + c0, nc * sizeof(T));
-    stats.elems_h2d += k * nc;
-    if (cfg.metrics)
-      cfg.metrics->counter("oog.bytes_h2d").add(k * nc * sizeof(T));
-    b_ready[j] = st.record();
-    b_up[j] = true;
-  };
-
-  struct Pending {
-    dev::Event done;
-    std::size_t i, j, r;
-    std::uint64_t seq;
-  };
-  std::deque<Pending> inflight;
-  // Device-pipeline causality: chunk launch ("oogDev", kSend) joins the
-  // host's completion wait ("oogWait", kRecv) through a per-rank device
-  // channel — the offload analogue of a message edge.
-  std::uint64_t chunk_seq = 0;
-  const std::uint64_t dev_ctx =
-      sched::kDeviceChannelCtx + static_cast<std::uint64_t>(cfg.trace_rank);
-
-  auto host_update = [&](const Pending& p) {
-    const std::size_t r0 = p.i * cfg.mx, c0 = p.j * cfg.nx;
-    const std::size_t nr = std::min(cfg.mx, m - r0);
-    const std::size_t nc = std::min(cfg.nx, n - c0);
-    const bool timed = cfg.trace != nullptr || cfg.metrics != nullptr;
-    const double t0 = timed ? sched::now_seconds() : 0.0;
-    MatrixView<const T> xv(staging[p.r].data(), nr, nc, cfg.nx);
-    srgemm::ewise_add<S>(xv, C.sub(r0, c0, nr, nc), cfg.gemm.pool);
-    if (timed) {
-      const double t1 = sched::now_seconds();
-      if (cfg.trace)
-        cfg.trace->record(sched::TraceEvent{
-            cfg.trace_rank, "oogHost", 0, t0, t1,
-            static_cast<std::int64_t>(nr * nc * sizeof(T)), 0.0});
-      if (cfg.metrics)
-        cfg.metrics->histogram("oog.host_update_seconds").observe(t1 - t0);
-    }
-  };
-  auto retire = [&](const Pending& p) {
-    const double t0 = cfg.trace ? sched::now_seconds() : 0.0;
-    p.done.wait();
-    if (cfg.trace) {
-      sched::TraceEvent e{cfg.trace_rank, "oogWait", 0, t0,
-                          sched::now_seconds(), 0, 0.0};
-      e.ek = sched::EventKind::kRecv;
-      e.peer = cfg.trace_rank;
-      e.ctx = dev_ctx;
-      e.seq = p.seq;
-      cfg.trace->record(e);
-    }
-    host_update(p);
-  };
-
-  std::size_t next_stream = 0;
-  for (std::size_t i = 0; i < mb; ++i) {
-    for (std::size_t j = 0; j < nb; ++j) {
-      const std::size_t r = next_stream;
-      next_stream = (next_stream + 1) % s;
-      dev::Stream& st = *streams[r];
-
-      // Retire the oldest block on this buffer before reusing it.
-      if (inflight.size() >= s) {
-        const Pending p = inflight.front();
-        inflight.pop_front();
-        retire(p);
-      }
-
-      if (!a_up[i]) upload_a(i, st);
-      if (!b_up[j]) upload_b(j, st);
-      const dev::Event a_ev = a_ready[i];
-      const dev::Event b_ev = b_ready[j];
-
-      const std::size_t r0 = i * cfg.mx, c0 = j * cfg.nx;
-      const std::size_t nr = std::min(cfg.mx, m - r0);
-      const std::size_t nc = std::min(cfg.nx, n - c0);
-
-      T* xr = X[r].data();
-      const T* a_panel = dA.data() + r0 * k;
-      const T* b_panel = dB.data() + c0;
-      const srgemm::Config gemm = cfg.gemm;
-      const std::size_t ldx = cfg.nx;
-      device.launch(st, [=] {
-        a_ev.wait();  // cross-stream dependency on the cached uploads
-        b_ev.wait();
-        MatrixView<T> xv(xr, nr, nc, ldx);
-        xv.fill(S::zero());
-        // The cached device panels are dense and reused across every block
-        // in their row/column — the prepacked fast path (§4.4).
-        srgemm::multiply_prepacked<S>(MatrixView<const T>(a_panel, nr, k, k),
-                                      MatrixView<const T>(b_panel, k, nc, n),
-                                      xv, gemm);
-      });
-      // d2hXfer of the nr x nc chunk (row-wise to keep staging layout).
-      device.memcpy_d2h(st, staging[r].data(), xr,
-                        ((nr - 1) * ldx + nc) * sizeof(T));
-      stats.elems_d2h += nr * nc;
-
-      inflight.push_back(Pending{st.record(), i, j, r, chunk_seq});
-      if (cfg.trace) {
-        const double t = sched::now_seconds();
-        sched::TraceEvent e{cfg.trace_rank, "oogDev", 0, t, t,
-                            static_cast<std::int64_t>(nr * nc * sizeof(T)),
-                            0.0};
-        e.ek = sched::EventKind::kSend;
-        e.peer = cfg.trace_rank;
-        e.ctx = dev_ctx;
-        e.seq = chunk_seq;
-        cfg.trace->record(e);
-      }
-      ++chunk_seq;
-      if (cfg.metrics) {
-        cfg.metrics->counter("oog.bytes_d2h")
-            .add(((nr - 1) * ldx + nc) * sizeof(T));
-        const double depth = static_cast<double>(inflight.size());
-        cfg.metrics->gauge("oog.inflight_depth").set(depth);
-        cfg.metrics->gauge("oog.inflight_max").update_max(depth);
-      }
-      ++stats.blocks;
-    }
-  }
-
-  while (!inflight.empty()) {
-    const Pending p = inflight.front();
-    inflight.pop_front();
-    retire(p);
-  }
-  stats.blocks = mb * nb;
-  return stats;
-}
-
-/// ooGSrGemm with predecessor tracking: C ← C ⊕ A ⊗ B where every strict
-/// improvement also rewrites predC(i,j) ← predB(t,j). The pipeline is the
-/// value pipeline plus a pred lane: B's pred panel rides the (cached)
-/// panel uploads, each chunk streams back an Xpred image alongside X, and
-/// hostUpdate merges both via ewise_add_with_pred.
-///
-/// Bit-identity with the fused host kernel: the device chunk computes X
-/// zero-filled, so Xpred(i,j) is the FIRST t (ascending) attaining the
-/// chunk's minimum, and the strict-improvement host merge keeps exactly
-/// the lanes where that minimum beats C — composing to the same
-/// first-t-attaining-global-min scan multiply_with_pred performs in one
-/// pass. Lanes the chunk never improved still hold S::zero(), which (as
-/// the ⊕-identity) can never strictly improve C, so their Xpred filler
-/// (-1) is never observed.
-///
-/// OogStats counts VALUE elements only (comparable to the §4.5 model's
-/// data-volume terms); the oog.bytes_h2d/d2h metrics include the pred
-/// bytes, which is what makes the paths overhead visible to telemetry.
-template <typename S>
-OogStats oog_srgemm_pred(dev::Device& device,
-                         MatrixView<const typename S::value_type> A,
-                         MatrixView<const typename S::value_type> B,
-                         MatrixView<typename S::value_type> C,
-                         MatrixView<const std::int64_t> predB,
-                         MatrixView<std::int64_t> predC,
-                         const OogConfig& cfg = {}) {
-  using T = typename S::value_type;
-  using P = std::int64_t;
-  PARFW_CHECK(A.rows() == C.rows() && B.cols() == C.cols() &&
-              A.cols() == B.rows());
-  PARFW_CHECK(predB.rows() == B.rows() && predB.cols() == B.cols());
-  PARFW_CHECK(predC.rows() == C.rows() && predC.cols() == C.cols());
-  PARFW_CHECK(cfg.mx > 0 && cfg.nx > 0 && cfg.num_streams > 0);
-  OogStats stats;
-  if (C.empty() || A.cols() == 0) return stats;
-
-  const std::size_t m = C.rows(), n = C.cols(), k = A.cols();
-  const std::size_t mb = (m + cfg.mx - 1) / cfg.mx;
-  const std::size_t nb = (n + cfg.nx - 1) / cfg.nx;
-  const std::size_t s = cfg.num_streams;
-
-  dev::DeviceBuffer<T> dA = device.alloc<T>(m * k);
-  dev::DeviceBuffer<T> dB = device.alloc<T>(k * n);
-  dev::DeviceBuffer<P> dPB = device.alloc<P>(k * n);
-  std::vector<dev::DeviceBuffer<T>> X;
-  std::vector<dev::DeviceBuffer<P>> XP;
-  std::vector<AlignedBuffer<T>> staging;
-  std::vector<AlignedBuffer<P>> staging_pred;
-  X.reserve(s);
-  XP.reserve(s);
-  staging.reserve(s);
-  staging_pred.reserve(s);
-  for (std::size_t r = 0; r < s; ++r) {
-    X.push_back(device.alloc<T>(cfg.mx * cfg.nx));
-    XP.push_back(device.alloc<P>(cfg.mx * cfg.nx));
-    staging.emplace_back(cfg.mx * cfg.nx);
-    staging_pred.emplace_back(cfg.mx * cfg.nx);
-  }
-  std::vector<dev::Device::StreamPtr> streams;
-  streams.reserve(s);
-  for (std::size_t r = 0; r < s; ++r) streams.push_back(device.create_stream());
-
-  std::vector<dev::Event> a_ready(mb), b_ready(nb);
-  std::vector<bool> a_up(mb, false), b_up(nb, false);
-
-  auto upload_a = [&](std::size_t i, dev::Stream& st) {
-    const std::size_t r0 = i * cfg.mx;
-    const std::size_t nr = std::min(cfg.mx, m - r0);
-    for (std::size_t row = 0; row < nr; ++row)
-      device.memcpy_h2d(st, dA.data() + (r0 + row) * k,
-                        A.data() + (r0 + row) * A.ld(), k * sizeof(T));
-    stats.elems_h2d += nr * k;
-    if (cfg.metrics)
-      cfg.metrics->counter("oog.bytes_h2d").add(nr * k * sizeof(T));
-    a_ready[i] = st.record();
-    a_up[i] = true;
-  };
-  auto upload_b = [&](std::size_t j, dev::Stream& st) {
-    const std::size_t c0 = j * cfg.nx;
-    const std::size_t nc = std::min(cfg.nx, n - c0);
-    // Values and pred ids share the column-chunked k x n device layout.
-    for (std::size_t row = 0; row < k; ++row) {
-      device.memcpy_h2d(st, dB.data() + row * n + c0,
-                        B.data() + row * B.ld() + c0, nc * sizeof(T));
-      device.memcpy_h2d(st, dPB.data() + row * n + c0,
-                        predB.data() + row * predB.ld() + c0, nc * sizeof(P));
-    }
-    stats.elems_h2d += k * nc;
-    if (cfg.metrics)
-      cfg.metrics->counter("oog.bytes_h2d")
-          .add(k * nc * (sizeof(T) + sizeof(P)));
-    b_ready[j] = st.record();
-    b_up[j] = true;
-  };
-
-  struct Pending {
-    dev::Event done;
-    std::size_t i, j, r;
-    std::uint64_t seq;
-  };
-  std::deque<Pending> inflight;
-  std::uint64_t chunk_seq = 0;
-  const std::uint64_t dev_ctx =
-      sched::kDeviceChannelCtx + static_cast<std::uint64_t>(cfg.trace_rank);
-
-  auto host_update = [&](const Pending& p) {
-    const std::size_t r0 = p.i * cfg.mx, c0 = p.j * cfg.nx;
-    const std::size_t nr = std::min(cfg.mx, m - r0);
-    const std::size_t nc = std::min(cfg.nx, n - c0);
-    const bool timed = cfg.trace != nullptr || cfg.metrics != nullptr;
-    const double t0 = timed ? sched::now_seconds() : 0.0;
-    MatrixView<const T> xv(staging[p.r].data(), nr, nc, cfg.nx);
-    MatrixView<const P> xpv(staging_pred[p.r].data(), nr, nc, cfg.nx);
-    srgemm::ewise_add_with_pred<S>(xv, xpv, C.sub(r0, c0, nr, nc),
-                                   predC.sub(r0, c0, nr, nc), cfg.gemm.pool);
-    if (timed) {
-      const double t1 = sched::now_seconds();
-      if (cfg.trace)
-        cfg.trace->record(sched::TraceEvent{
-            cfg.trace_rank, "oogHost", 0, t0, t1,
-            static_cast<std::int64_t>(nr * nc * (sizeof(T) + sizeof(P))),
-            0.0});
-      if (cfg.metrics)
-        cfg.metrics->histogram("oog.host_update_seconds").observe(t1 - t0);
-    }
-  };
-  auto retire = [&](const Pending& p) {
-    const double t0 = cfg.trace ? sched::now_seconds() : 0.0;
-    p.done.wait();
-    if (cfg.trace) {
-      sched::TraceEvent e{cfg.trace_rank, "oogWait", 0, t0,
-                          sched::now_seconds(), 0, 0.0};
-      e.ek = sched::EventKind::kRecv;
-      e.peer = cfg.trace_rank;
-      e.ctx = dev_ctx;
-      e.seq = p.seq;
-      cfg.trace->record(e);
-    }
-    host_update(p);
-  };
-
-  std::size_t next_stream = 0;
-  for (std::size_t i = 0; i < mb; ++i) {
-    for (std::size_t j = 0; j < nb; ++j) {
-      const std::size_t r = next_stream;
-      next_stream = (next_stream + 1) % s;
-      dev::Stream& st = *streams[r];
-      if (inflight.size() >= s) {
-        const Pending p = inflight.front();
-        inflight.pop_front();
-        retire(p);
-      }
-
-      if (!a_up[i]) upload_a(i, st);
-      if (!b_up[j]) upload_b(j, st);
-      const dev::Event a_ev = a_ready[i];
-      const dev::Event b_ev = b_ready[j];
-
-      const std::size_t r0 = i * cfg.mx, c0 = j * cfg.nx;
-      const std::size_t nr = std::min(cfg.mx, m - r0);
-      const std::size_t nc = std::min(cfg.nx, n - c0);
-
-      T* xr = X[r].data();
-      P* xpr = XP[r].data();
-      const T* a_panel = dA.data() + r0 * k;
-      const T* b_panel = dB.data() + c0;
-      const P* pb_panel = dPB.data() + c0;
-      const srgemm::Config gemm = cfg.gemm;
-      const std::size_t ldx = cfg.nx;
-      device.launch(st, [=] {
-        a_ev.wait();
-        b_ev.wait();
-        MatrixView<T> xv(xr, nr, nc, ldx);
-        MatrixView<P> xpv(xpr, nr, nc, ldx);
-        xv.fill(S::zero());
-        xpv.fill(P{-1});  // never observed: zero() lanes cannot improve C
-        srgemm::multiply_with_pred<S>(
-            MatrixView<const T>(a_panel, nr, k, k),
-            MatrixView<const T>(b_panel, k, nc, n), xv,
-            MatrixView<const P>(pb_panel, k, nc, n), xpv, gemm);
-      });
-      device.memcpy_d2h(st, staging[r].data(), xr,
-                        ((nr - 1) * ldx + nc) * sizeof(T));
-      device.memcpy_d2h(st, staging_pred[r].data(), xpr,
-                        ((nr - 1) * ldx + nc) * sizeof(P));
-      stats.elems_d2h += nr * nc;
-
-      inflight.push_back(Pending{st.record(), i, j, r, chunk_seq});
-      if (cfg.trace) {
-        const double t = sched::now_seconds();
-        sched::TraceEvent e{
-            cfg.trace_rank, "oogDev", 0, t, t,
-            static_cast<std::int64_t>(nr * nc * (sizeof(T) + sizeof(P))),
-            0.0};
-        e.ek = sched::EventKind::kSend;
-        e.peer = cfg.trace_rank;
-        e.ctx = dev_ctx;
-        e.seq = chunk_seq;
-        cfg.trace->record(e);
-      }
-      ++chunk_seq;
-      if (cfg.metrics) {
-        cfg.metrics->counter("oog.bytes_d2h")
-            .add(((nr - 1) * ldx + nc) * (sizeof(T) + sizeof(P)));
-        const double depth = static_cast<double>(inflight.size());
-        cfg.metrics->gauge("oog.inflight_depth").set(depth);
-        cfg.metrics->gauge("oog.inflight_max").update_max(depth);
-      }
-      ++stats.blocks;
-    }
-  }
-
-  while (!inflight.empty()) {
-    const Pending p = inflight.front();
-    inflight.pop_front();
-    retire(p);
-  }
-  stats.blocks = mb * nb;
-  return stats;
-}
-
-template <typename S>
-OogStats oog_srgemm_device(dev::Device& device,
-                           const typename S::value_type* dA, std::size_t lda,
-                           const typename S::value_type* dB, std::size_t ldb,
-                           std::size_t m, std::size_t n, std::size_t k,
-                           MatrixView<typename S::value_type> C,
-                           const OogConfig& cfg) {
-  using T = typename S::value_type;
+                           const OogConfig& cfg = {}) {
   PARFW_CHECK(C.rows() == m && C.cols() == n);
-  PARFW_CHECK(cfg.mx > 0 && cfg.nx > 0 && cfg.num_streams > 0);
-  OogStats stats;
-  if (C.empty() || k == 0) return stats;
-
-  const std::size_t mb = (m + cfg.mx - 1) / cfg.mx;
-  const std::size_t nb = (n + cfg.nx - 1) / cfg.nx;
-  const std::size_t s = cfg.num_streams;
-
-  std::vector<dev::DeviceBuffer<T>> X;
-  std::vector<AlignedBuffer<T>> staging;
-  X.reserve(s);
-  staging.reserve(s);
-  for (std::size_t r = 0; r < s; ++r) {
-    X.push_back(device.alloc<T>(cfg.mx * cfg.nx));
-    staging.emplace_back(cfg.mx * cfg.nx);
-  }
-  std::vector<dev::Device::StreamPtr> streams;
-  streams.reserve(s);
-  for (std::size_t r = 0; r < s; ++r) streams.push_back(device.create_stream());
-
-  struct Pending {
-    dev::Event done;
-    std::size_t i, j, r;
-    std::uint64_t seq;
-  };
-  std::deque<Pending> inflight;
-  std::uint64_t chunk_seq = 0;
-  const std::uint64_t dev_ctx =
-      sched::kDeviceChannelCtx + static_cast<std::uint64_t>(cfg.trace_rank);
-  auto host_update = [&](const Pending& p) {
-    const std::size_t r0 = p.i * cfg.mx, c0 = p.j * cfg.nx;
-    const std::size_t nr = std::min(cfg.mx, m - r0);
-    const std::size_t nc = std::min(cfg.nx, n - c0);
-    const bool timed = cfg.trace != nullptr || cfg.metrics != nullptr;
-    const double t0 = timed ? sched::now_seconds() : 0.0;
-    MatrixView<const T> xv(staging[p.r].data(), nr, nc, cfg.nx);
-    srgemm::ewise_add<S>(xv, C.sub(r0, c0, nr, nc), cfg.gemm.pool);
-    if (timed) {
-      const double t1 = sched::now_seconds();
-      if (cfg.trace)
-        cfg.trace->record(sched::TraceEvent{
-            cfg.trace_rank, "oogHost", 0, t0, t1,
-            static_cast<std::int64_t>(nr * nc * sizeof(T)), 0.0});
-      if (cfg.metrics)
-        cfg.metrics->histogram("oog.host_update_seconds").observe(t1 - t0);
-    }
-  };
-  auto retire = [&](const Pending& p) {
-    const double t0 = cfg.trace ? sched::now_seconds() : 0.0;
-    p.done.wait();
-    if (cfg.trace) {
-      sched::TraceEvent e{cfg.trace_rank, "oogWait", 0, t0,
-                          sched::now_seconds(), 0, 0.0};
-      e.ek = sched::EventKind::kRecv;
-      e.peer = cfg.trace_rank;
-      e.ctx = dev_ctx;
-      e.seq = p.seq;
-      cfg.trace->record(e);
-    }
-    host_update(p);
-  };
-
-  std::size_t next_stream = 0;
-  for (std::size_t i = 0; i < mb; ++i) {
-    for (std::size_t j = 0; j < nb; ++j) {
-      const std::size_t r = next_stream;
-      next_stream = (next_stream + 1) % s;
-      dev::Stream& st = *streams[r];
-      if (inflight.size() >= s) {
-        const Pending p = inflight.front();
-        inflight.pop_front();
-        retire(p);
-      }
-      const std::size_t r0 = i * cfg.mx, c0 = j * cfg.nx;
-      const std::size_t nr = std::min(cfg.mx, m - r0);
-      const std::size_t nc = std::min(cfg.nx, n - c0);
-      T* xr = X[r].data();
-      const T* a_panel = dA + r0 * lda;
-      const T* b_panel = dB + c0;
-      const srgemm::Config gemm = cfg.gemm;
-      const std::size_t ldx = cfg.nx;
-      device.launch(st, [=] {
-        MatrixView<T> xv(xr, nr, nc, ldx);
-        xv.fill(S::zero());
-        srgemm::multiply_prepacked<S>(MatrixView<const T>(a_panel, nr, k, lda),
-                                      MatrixView<const T>(b_panel, k, nc, ldb),
-                                      xv, gemm);
-      });
-      device.memcpy_d2h(st, staging[r].data(), xr,
-                        ((nr - 1) * ldx + nc) * sizeof(T));
-      stats.elems_d2h += nr * nc;
-      inflight.push_back(Pending{st.record(), i, j, r, chunk_seq});
-      if (cfg.trace) {
-        const double t = sched::now_seconds();
-        sched::TraceEvent e{cfg.trace_rank, "oogDev", 0, t, t,
-                            static_cast<std::int64_t>(nr * nc * sizeof(T)),
-                            0.0};
-        e.ek = sched::EventKind::kSend;
-        e.peer = cfg.trace_rank;
-        e.ctx = dev_ctx;
-        e.seq = chunk_seq;
-        cfg.trace->record(e);
-      }
-      ++chunk_seq;
-      if (cfg.metrics) {
-        cfg.metrics->counter("oog.bytes_d2h")
-            .add(((nr - 1) * ldx + nc) * sizeof(T));
-        const double depth = static_cast<double>(inflight.size());
-        cfg.metrics->gauge("oog.inflight_depth").set(depth);
-        cfg.metrics->gauge("oog.inflight_max").update_max(depth);
-      }
-    }
-  }
-  while (!inflight.empty()) {
-    const Pending p = inflight.front();
-    inflight.pop_front();
-    retire(p);
-  }
-  stats.blocks = mb * nb;
-  return stats;
+  detail::PanelSource<typename S::value_type> src;
+  src.dA = dA;
+  src.lda = lda;
+  src.dB = dB;
+  src.ldb = ldb;
+  return detail::oog_pipeline<S>(device, src, k, C, {}, {}, cfg);
 }
 
 }  // namespace parfw::offload

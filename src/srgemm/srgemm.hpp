@@ -88,9 +88,6 @@ struct Config {
   std::size_t tile_k = 256;
   Kernel kernel = Kernel::kAuto;
   MicroShape micro = MicroShape::kAuto;
-  /// Legacy switch: force the scalar packed kernel (same as kernel =
-  /// kPacked; kept for the pre-dispatch call sites and benches).
-  bool pack = false;
   /// Pool used to parallelise over C row panels; nullptr = sequential.
   ThreadPool* pool = nullptr;
 
@@ -279,25 +276,28 @@ inline void run_slice(MatrixView<const typename S::value_type> A,
   }
 }
 
-/// Ambient dispatch-level metrics (PARFW_METRICS gate): one set of series
-/// per resolved {kernel, micro} pair in the global registry. Recording
-/// costs two atomic adds + two histogram observes per multiply() call —
-/// measured at the dispatch granularity, not per tile, so the kernels
-/// themselves stay untouched.
-template <typename S>
-inline void record_dispatch_metrics(Kernel kernel, const Config& cfg,
-                                    std::size_t m, std::size_t n,
-                                    std::size_t k, bool prepacked,
-                                    double seconds) {
+/// Runs one dispatch and lands it in the ambient dispatch-level metrics
+/// (PARFW_METRICS gate): one set of series per label set in the global
+/// registry — the resolved {kernel, micro} pair for multiply(), kernel=pred
+/// for multiply_with_pred. Recording costs two atomic adds + two histogram
+/// observes per call — measured at the dispatch granularity, not per tile,
+/// so the kernels themselves stay untouched. `packs` marks a call whose
+/// operands stream through the pack buffers.
+template <typename S, typename Dispatch>
+inline void record_dispatch_metrics(const std::string& labels, std::size_t m,
+                                    std::size_t n, std::size_t k, bool packs,
+                                    Dispatch&& dispatch) {
+  const auto t0 = std::chrono::steady_clock::now();
+  dispatch();
+  const double seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
   telemetry::Registry& reg = telemetry::Registry::global();
-  std::string labels = std::string("kernel=") + kernel_name(kernel);
-  if (kernel == Kernel::kSimd)
-    labels += std::string(",micro=") + micro_name(resolve_micro(cfg.micro));
   const double fl = 2.0 * static_cast<double>(m) * static_cast<double>(n) *
                     static_cast<double>(k);
   reg.counter("srgemm.calls", labels).inc();
   reg.counter("srgemm.flops", labels).add(static_cast<std::uint64_t>(fl));
-  if (!prepacked && (kernel == Kernel::kPacked || kernel == Kernel::kSimd)) {
+  if (packs) {
     // Operand footprint staged through the pack buffers (A and B panels).
     reg.counter("srgemm.bytes_packed", labels)
         .add(static_cast<std::uint64_t>((m * k + k * n) *
@@ -314,9 +314,7 @@ inline void multiply_impl(MatrixView<const typename S::value_type> A,
                           MatrixView<typename S::value_type> C,
                           const Config& caller_cfg, bool prepacked) {
   const Config cfg = apply_env_pins(caller_cfg);
-  Kernel kernel = resolve_kernel<S>(cfg.pack && cfg.kernel == Kernel::kAuto
-                                        ? Kernel::kPacked
-                                        : cfg.kernel);
+  const Kernel kernel = resolve_kernel<S>(cfg.kernel);
   const std::size_t m = C.rows();
   const auto dispatch = [&] {
     if (cfg.pool != nullptr && cfg.pool->size() > 1 && m >= 2 * cfg.tile_m) {
@@ -337,13 +335,13 @@ inline void multiply_impl(MatrixView<const typename S::value_type> A,
     dispatch();
     return;
   }
-  const auto t0 = std::chrono::steady_clock::now();
-  dispatch();
-  const double secs =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  record_dispatch_metrics<S>(kernel, cfg, m, C.cols(), A.cols(), prepacked,
-                             secs);
+  std::string labels = std::string("kernel=") + kernel_name(kernel);
+  if (kernel == Kernel::kSimd)
+    labels += std::string(",micro=") + micro_name(resolve_micro(cfg.micro));
+  record_dispatch_metrics<S>(
+      labels, m, C.cols(), A.cols(),
+      !prepacked && (kernel == Kernel::kPacked || kernel == Kernel::kSimd),
+      dispatch);
 }
 
 }  // namespace detail
@@ -401,21 +399,6 @@ void multiply_reference(MatrixView<const typename S::value_type> A,
   detail::naive_kernel<S>(A, B, C);
 }
 
-/// Argmin-tracking SRGEMM for path reconstruction:
-///     where C[i,j] improves via index t, set Arg[i,j] = t + arg_offset.
-/// `arg_offset` converts the local k index into a global vertex id.
-/// Used by the predecessor-tracking blocked FW (DESIGN.md §6).
-template <typename S>
-void multiply_argmin(MatrixView<const typename S::value_type> A,
-                     MatrixView<const typename S::value_type> B,
-                     MatrixView<typename S::value_type> C,
-                     MatrixView<std::int64_t> Arg, std::int64_t arg_offset) {
-  PARFW_CHECK(A.rows() == C.rows() && B.cols() == C.cols() &&
-              A.cols() == B.rows());
-  PARFW_CHECK(Arg.rows() == C.rows() && Arg.cols() == C.cols());
-  detail::argmin_kernel<S>(A, B, C, Arg, arg_offset);
-}
-
 /// Fused predecessor-tracking SRGEMM:
 ///     where C[i,j] improves through row t of B, predC[i,j] ← predB[t,j]
 /// (the blocked-FW pred rule: pred(i,j) ← pred(t,j), with predB carrying
@@ -447,17 +430,25 @@ void multiply_with_pred(MatrixView<const typename S::value_type> A,
   const Config cfg = detail::apply_env_pins(caller_cfg);
   const std::size_t m = C.rows();
   const bool rows_independent = B.data() != C.data();
-  if (rows_independent && cfg.pool != nullptr && cfg.pool->size() > 1 &&
-      m >= 2 * cfg.tile_m) {
-    const std::size_t panels = (m + cfg.tile_m - 1) / cfg.tile_m;
-    cfg.pool->parallel_for(panels, [&](std::size_t p) {
-      const std::size_t lo = p * cfg.tile_m;
-      detail::pred_sweep_rows<S>(A, B, C, predB, predC, lo,
-                                 std::min(m, lo + cfg.tile_m));
-    });
-  } else {
-    detail::pred_sweep_rows<S>(A, B, C, predB, predC, 0, m);
+  const auto dispatch = [&] {
+    if (rows_independent && cfg.pool != nullptr && cfg.pool->size() > 1 &&
+        m >= 2 * cfg.tile_m) {
+      const std::size_t panels = (m + cfg.tile_m - 1) / cfg.tile_m;
+      cfg.pool->parallel_for(panels, [&](std::size_t p) {
+        const std::size_t lo = p * cfg.tile_m;
+        detail::pred_sweep_rows<S>(A, B, C, predB, predC, lo,
+                                   std::min(m, lo + cfg.tile_m));
+      });
+    } else {
+      detail::pred_sweep_rows<S>(A, B, C, predB, predC, 0, m);
+    }
+  };
+  if (!telemetry::enabled()) {
+    dispatch();
+    return;
   }
+  detail::record_dispatch_metrics<S>("kernel=pred", m, C.cols(), A.cols(),
+                                     /*packs=*/false, dispatch);
 }
 
 /// Element-wise accumulate with predecessor attachment (the offload

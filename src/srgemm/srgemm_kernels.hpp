@@ -1,5 +1,6 @@
 // Kernel bodies for SRGEMM: naive oracle, cache-tiled + register-blocked
-// kernel, and the argmin-tracking variant.
+// kernel (scalar, packed and SIMD), and the fused predecessor-tracking
+// sweep behind multiply_with_pred.
 //
 // The tiled kernel follows the canonical GotoBLAS decomposition adapted to
 // semirings: C is walked in tile_m x tile_n macro tiles; for each macro
@@ -361,30 +362,6 @@ void pred_sweep_rows(MatrixView<const typename S::value_type> A,
     }
     std::copy_n(best, n, C.data() + i * C.ld());
     std::copy_n(bp, n, predC.data() + i * predC.ld());
-  }
-}
-
-template <typename S>
-void argmin_kernel(MatrixView<const typename S::value_type> A,
-                   MatrixView<const typename S::value_type> B,
-                   MatrixView<typename S::value_type> C,
-                   MatrixView<std::int64_t> Arg, std::int64_t arg_offset) {
-  using T = typename S::value_type;
-  const std::size_t m = C.rows(), n = C.cols(), k = A.cols();
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      T best = C(i, j);
-      std::int64_t arg = -1;
-      for (std::size_t t = 0; t < k; ++t) {
-        const T cand = S::mul(A(i, t), B(t, j));
-        if (S::less_add(cand, best)) {
-          best = cand;
-          arg = static_cast<std::int64_t>(t) + arg_offset;
-        }
-      }
-      C(i, j) = best;
-      if (arg >= 0) Arg(i, j) = arg;
-    }
   }
 }
 

@@ -384,6 +384,19 @@ struct FaultCase {
   double drop, dup, delay;
 };
 
+// gtest registers each case with ctest under a name ending in a byte dump of
+// the parameter, which starts with the low byte of `name`. A bare literal
+// lands wherever the linker merges it ("all" shares the tail of "stall"), so
+// the registered names moved with the checkout path and with any string
+// edited elsewhere in the link. Fixed offsets in one 256-byte-aligned block
+// pin that byte; 0x30 keeps the leading digit the cases were registered with.
+struct alignas(256) FaultCaseNames {
+  char reserved[0x30];
+  char clean[6], drop[5], dup[4], all[4], delay[6];
+};
+constexpr FaultCaseNames kFaultCaseNames{
+    {}, "clean", "drop", "dup", "all", "delay"};
+
 class FaultMatrixCausal : public ::testing::TestWithParam<FaultCase> {};
 
 TEST_P(FaultMatrixCausal, GraphStaysAcyclicAndFullyMatched) {
@@ -421,11 +434,11 @@ TEST_P(FaultMatrixCausal, GraphStaysAcyclicAndFullyMatched) {
 
 INSTANTIATE_TEST_SUITE_P(
     DropDupDelay, FaultMatrixCausal,
-    ::testing::Values(FaultCase{"clean", 0.0, 0.0, 0.0},
-                      FaultCase{"drop", 0.05, 0.0, 0.0},
-                      FaultCase{"dup", 0.0, 0.08, 0.0},
-                      FaultCase{"delay", 0.0, 0.0, 0.08},
-                      FaultCase{"all", 0.03, 0.03, 0.03}),
+    ::testing::Values(FaultCase{kFaultCaseNames.clean, 0.0, 0.0, 0.0},
+                      FaultCase{kFaultCaseNames.drop, 0.05, 0.0, 0.0},
+                      FaultCase{kFaultCaseNames.dup, 0.0, 0.08, 0.0},
+                      FaultCase{kFaultCaseNames.delay, 0.0, 0.0, 0.08},
+                      FaultCase{kFaultCaseNames.all, 0.03, 0.03, 0.03}),
     [](const ::testing::TestParamInfo<FaultCase>& info) {
       return info.param.name;
     });

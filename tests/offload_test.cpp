@@ -1,16 +1,25 @@
-// Offload engine tests: ooGSrGemm correctness vs in-core SRGEMM across
-// chunk geometries and stream counts, transfer-volume accounting against
-// the §4.5 cost model, and the full offload blocked FW vs sequential FW.
+// Offload engine tests: ooGSrGemm correctness vs in-core SRGEMM (values
+// and values+predecessors) across chunk geometries and stream counts,
+// transfer-volume accounting against the §4.5 cost model, the per-chunk
+// trace and metric contract of every entry point, and the full offload
+// blocked FW vs sequential FW.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "core/floyd_warshall.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "offload/offload_fw.hpp"
 #include "offload/oog_srgemm.hpp"
+#include "sched/trace.hpp"
 #include "semiring/semiring.hpp"
+#include "telemetry/metrics.hpp"
+#include "util/rng.hpp"
 
 namespace parfw {
 namespace {
@@ -46,6 +55,53 @@ TEST_P(OogGeometry, MatchesInCoreSrgemm) {
   device.synchronize();
   EXPECT_EQ(max_abs_diff<float>(C0.view(), C1.view()), 0.0);
   // §4.5 volume terms: uploads (m+n)k, downloads m·n.
+  EXPECT_EQ(stats.elems_h2d, static_cast<std::size_t>(m + n) *
+                                 static_cast<std::size_t>(k));
+  EXPECT_EQ(stats.elems_d2h,
+            static_cast<std::size_t>(m) * static_cast<std::size_t>(n));
+}
+
+/// Deterministic predecessor ids in [0, 1000) — any values work; the test
+/// only needs the pred lane to carry them through bit for bit.
+Matrix<std::int64_t> random_ids(std::size_t r, std::size_t c,
+                                std::uint64_t seed) {
+  Matrix<std::int64_t> p(r, c);
+  Rng rng(seed);
+  for (std::size_t i = 0; i < r; ++i)
+    for (std::size_t j = 0; j < c; ++j)
+      p(i, j) = static_cast<std::int64_t>(rng.next_below(1000));
+  return p;
+}
+
+// The values+predecessors payload over the same geometries: the chunked
+// pipeline must reproduce the fused host kernel in distances AND preds.
+TEST_P(OogGeometry, PredMatchesFusedKernel) {
+  const auto [m, n, k, chunk, streams] = GetParam();
+  auto A = random_panel(m, k, 1);
+  auto B = random_panel(k, n, 2);
+  auto C0 = random_panel(m, n, 3);
+  auto C1 = C0.clone();
+  auto predB = random_ids(k, n, 4);
+  auto P0 = random_ids(m, n, 5);
+  auto P1 = P0.clone();
+  srgemm::multiply_with_pred<S>(A.view(), B.view(), C0.view(), predB.view(),
+                                P0.view());
+
+  dev::Device device;
+  offload::OogConfig cfg;
+  cfg.mx = static_cast<std::size_t>(chunk);
+  cfg.nx = static_cast<std::size_t>(chunk);
+  cfg.num_streams = static_cast<std::size_t>(streams);
+  const auto stats = offload::oog_srgemm_pred<S>(
+      device, A.view(), B.view(), C1.view(), predB.view(), P1.view(), cfg);
+  device.synchronize();
+  EXPECT_EQ(max_abs_diff<float>(C0.view(), C1.view()), 0.0);
+  std::size_t pred_mismatch = 0;
+  for (int i = 0; i < m; ++i)
+    for (int j = 0; j < n; ++j)
+      pred_mismatch += P0(i, j) != P1(i, j) ? 1 : 0;
+  EXPECT_EQ(pred_mismatch, 0u);
+  // OogStats counts value elements only, whatever the payload.
   EXPECT_EQ(stats.elems_h2d, static_cast<std::size_t>(m + n) *
                                  static_cast<std::size_t>(k));
   EXPECT_EQ(stats.elems_d2h,
@@ -193,6 +249,154 @@ TEST(OogSrgemmDevice, StridedPanelViews) {
   device.synchronize();
   EXPECT_EQ(max_abs_diff<float>(C0.view(), C1.view()), 0.0);
 }
+
+// --- Trace and metric contract of every entry point -------------------------
+
+enum class Entry { kValues, kPred, kDevice };
+
+std::string entry_name(const ::testing::TestParamInfo<Entry>& info) {
+  switch (info.param) {
+    case Entry::kValues: return "values";
+    case Entry::kPred: return "pred";
+    case Entry::kDevice: return "device";
+  }
+  return "?";
+}
+
+class OogContract : public ::testing::TestWithParam<Entry> {};
+
+// Each chunk emits one oogDev kSend and one oogWait kRecv joined on
+// (ctx = kDeviceChannelCtx + rank, seq) plus one oogHost, all carrying the
+// chunk payload; the oog.* counters match their closed forms.
+TEST_P(OogContract, ChunkEventsAndCounters) {
+  const Entry entry = GetParam();
+  const bool pred = entry == Entry::kPred;
+  const std::size_t elem = sizeof(float) + (pred ? sizeof(std::int64_t) : 0);
+  const int rank = 2;
+  // (m, n, k, chunk): ragged 4x3 chunk grid, and a single chunk.
+  for (auto [m, n, k, chunk] : {std::tuple<std::size_t, std::size_t,
+                                           std::size_t, std::size_t>{
+                                    97, 61, 13, 30},
+                                {40, 40, 8, 64}}) {
+    for (std::size_t s = 1; s <= 5; s += 2) {
+      SCOPED_TRACE(::testing::Message() << m << "x" << n << "x" << k
+                                        << " chunk=" << chunk << " s=" << s);
+      auto A = random_panel(m, k, 51);
+      auto B = random_panel(k, n, 52);
+      auto C = random_panel(m, n, 53);
+      auto predB = random_ids(k, n, 54);
+      auto predC = random_ids(m, n, 55);
+      dev::Device device;
+      auto dA = device.alloc<float>(m * k);
+      auto dB = device.alloc<float>(k * n);
+      if (entry == Entry::kDevice) {
+        auto st = device.create_stream();
+        device.memcpy_h2d(*st, dA.data(), A.data(), m * k * sizeof(float));
+        device.memcpy_h2d(*st, dB.data(), B.data(), k * n * sizeof(float));
+        st->synchronize();
+      }
+      sched::CollectTraceSink sink;
+      telemetry::Registry reg;
+      offload::OogConfig cfg;
+      cfg.mx = cfg.nx = chunk;
+      cfg.num_streams = s;
+      cfg.trace = &sink;
+      cfg.trace_rank = rank;
+      cfg.metrics = &reg;
+      offload::OogStats stats;
+      switch (entry) {
+        case Entry::kValues:
+          stats = offload::oog_srgemm<S>(device, A.view(), B.view(), C.view(),
+                                         cfg);
+          break;
+        case Entry::kPred:
+          stats = offload::oog_srgemm_pred<S>(device, A.view(), B.view(),
+                                              C.view(), predB.view(),
+                                              predC.view(), cfg);
+          break;
+        case Entry::kDevice:
+          stats = offload::oog_srgemm_device<S>(device, dA.data(), k,
+                                                dB.data(), n, m, n, k,
+                                                C.view(), cfg);
+          break;
+      }
+      device.synchronize();
+
+      const std::size_t mb = (m + chunk - 1) / chunk;
+      const std::size_t nb = (n + chunk - 1) / chunk;
+      const std::size_t chunks = mb * nb;
+      EXPECT_EQ(stats.blocks, chunks);
+      EXPECT_EQ(stats.elems_h2d, entry == Entry::kDevice ? 0 : (m + n) * k);
+      EXPECT_EQ(stats.elems_d2h, m * n);
+
+      // Chunk q = i·nb + j carries nr x nc elements of `elem` bytes.
+      auto payload = [&](std::uint64_t q) {
+        const std::size_t i = q / nb, j = q % nb;
+        const std::size_t nr = std::min(chunk, m - i * chunk);
+        const std::size_t nc = std::min(chunk, n - j * chunk);
+        return static_cast<std::int64_t>(nr * nc * elem);
+      };
+      const std::uint64_t ctx =
+          sched::kDeviceChannelCtx + static_cast<std::uint64_t>(rank);
+      std::vector<int> sends(chunks, 0), recvs(chunks, 0);
+      std::vector<double> send_t(chunks, 0.0);
+      std::size_t hosts = 0;
+      const auto events = sink.events();
+      for (const auto& e : events) {
+        ASSERT_EQ(e.rank, rank);
+        const std::string name = e.name;
+        if (name == "oogHost") {
+          EXPECT_EQ(e.ek, sched::EventKind::kSpan);
+          // Chunks retire in launch order.
+          EXPECT_EQ(e.bytes, payload(hosts));
+          ++hosts;
+          continue;
+        }
+        ASSERT_TRUE(name == "oogDev" || name == "oogWait") << name;
+        EXPECT_EQ(e.ctx, ctx);
+        EXPECT_EQ(e.peer, rank);
+        ASSERT_LT(e.seq, chunks);
+        if (name == "oogDev") {
+          EXPECT_EQ(e.ek, sched::EventKind::kSend);
+          EXPECT_EQ(e.bytes, payload(e.seq));
+          ++sends[e.seq];
+          send_t[e.seq] = e.t_begin;
+        } else {
+          EXPECT_EQ(e.ek, sched::EventKind::kRecv);
+          EXPECT_EQ(sends[e.seq], 1) << "wait before its launch, seq "
+                                     << e.seq;
+          EXPECT_GE(e.t_begin, send_t[e.seq]);
+          ++recvs[e.seq];
+        }
+      }
+      EXPECT_EQ(hosts, chunks);
+      for (std::size_t q = 0; q < chunks; ++q) {
+        EXPECT_EQ(sends[q], 1) << "seq " << q;
+        EXPECT_EQ(recvs[q], 1) << "seq " << q;
+      }
+
+      // Closed forms: panels go up once (B's pred panel rides along on
+      // paths runs); every chunk comes down padded to the buffer stride.
+      const std::size_t h2d =
+          entry == Entry::kDevice
+              ? 0
+              : m * k * sizeof(float) +
+                    k * n * (pred ? sizeof(float) + sizeof(std::int64_t)
+                                  : sizeof(float));
+      const std::size_t d2h = (nb * (m - mb) * chunk + mb * n) * elem;
+      EXPECT_EQ(reg.counter("oog.bytes_h2d").value(), h2d);
+      EXPECT_EQ(reg.counter("oog.bytes_d2h").value(), d2h);
+      EXPECT_EQ(reg.gauge("oog.inflight_max").value(),
+                static_cast<double>(std::min(s, chunks)));
+      EXPECT_EQ(reg.histogram("oog.host_update_seconds").count(), chunks);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Entry, OogContract,
+                         ::testing::Values(Entry::kValues, Entry::kPred,
+                                           Entry::kDevice),
+                         entry_name);
 
 class OffloadFwParam : public ::testing::TestWithParam<std::tuple<int, int>> {};
 // (n, block_size)

@@ -221,13 +221,10 @@ TEST(QueryApi, StatusDistinguishesUnreachableFromNotTracked) {
   EXPECT_EQ(results[1].status, PathStatus::kUnreachable);  // 1 -> 0
   EXPECT_EQ(results[2].path, (std::vector<std::int64_t>{1, 2}));
 
-  // The deprecated shim still answers (ambiguously) for old callers.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  EXPECT_EQ(tracked.path(0, 2), (std::vector<std::int64_t>{0, 1, 2}));
-  EXPECT_TRUE(tracked.path(0, 3).empty());
-  EXPECT_TRUE(untracked.path(0, 2).empty());
-#pragma GCC diagnostic pop
+  // A not-tracked result never carries a path, even for a reachable pair.
+  r = untracked.query(0, 2);
+  EXPECT_EQ(r.status, PathStatus::kNotTracked);
+  EXPECT_TRUE(r.path.empty());
 }
 
 // --- Publish + serve round trip ---------------------------------------------

@@ -8,6 +8,7 @@
 #include "core/blocked_fw_paths.hpp"
 #include "semiring/semiring.hpp"
 #include "srgemm/srgemm.hpp"
+#include "telemetry/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace parfw {
@@ -121,7 +122,7 @@ TEST(Srgemm, PackedKernelMatchesUnpacked) {
     auto C0 = random_matrix<float>(m, n, 73);
     auto C1 = C0.clone();
     srgemm::Config packed{};
-    packed.pack = true;
+    packed.kernel = srgemm::Kernel::kPacked;
     srgemm::multiply<S>(A.view(), B.view(), C0.view());
     srgemm::multiply<S>(A.view(), B.view(), C1.view(), packed);
     EXPECT_EQ(max_abs_diff<float>(C0.view(), C1.view()), 0.0)
@@ -134,7 +135,7 @@ TEST(Srgemm, PackedKernelOnStridedViews) {
   auto big = random_matrix<float>(300, 300, 74);
   auto expected = big.clone();
   srgemm::Config packed{};
-  packed.pack = true;
+  packed.kernel = srgemm::Kernel::kPacked;
   srgemm::multiply<S>(expected.sub(0, 0, 100, 50), expected.sub(0, 100, 50, 80),
                       expected.sub(100, 100, 100, 80));
   srgemm::multiply<S>(big.sub(0, 0, 100, 50), big.sub(0, 100, 50, 80),
@@ -159,27 +160,6 @@ TEST(Srgemm, StridedViewsWork) {
   srgemm::multiply_reference<S>(A, B, C0.view());
   srgemm::multiply<S>(A, B, C1.view());
   EXPECT_EQ(max_abs_diff<float>(C0.view(), C1.view()), 0.0);
-}
-
-TEST(Srgemm, ArgminTracksWitness) {
-  using S = MinPlus<float>;
-  const std::size_t m = 17, n = 19, k = 23;
-  auto A = random_matrix<float>(m, k, 41);
-  auto B = random_matrix<float>(k, n, 42);
-  Matrix<float> C(m, n, S::zero());
-  Matrix<std::int64_t> Arg(m, n, -1);
-  srgemm::multiply_argmin<S>(A.view(), B.view(), C.view(), Arg.view(),
-                             /*arg_offset=*/100);
-  for (std::size_t i = 0; i < m; ++i)
-    for (std::size_t j = 0; j < n; ++j) {
-      const std::int64_t t = Arg(i, j) - 100;
-      ASSERT_GE(t, 0);
-      ASSERT_LT(t, static_cast<std::int64_t>(k));
-      // The witness reproduces the stored value, and no index beats it.
-      EXPECT_EQ(C(i, j), A(i, t) + B(t, j));
-      for (std::size_t u = 0; u < k; ++u)
-        EXPECT_LE(C(i, j), A(i, u) + B(u, j));
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -253,6 +233,41 @@ TEST(SrgemmPred, FusedKernelMatchesScalarOracleMinPlusInt32) {
 }
 TEST(SrgemmPred, FusedKernelMatchesScalarOracleMaxMinFloat) {
   check_pred_kernel<MaxMin<float>>(94);
+}
+
+TEST(SrgemmPred, RecordsDispatchMetricsWhenEnabled) {
+  // multiply_with_pred lands in the same srgemm.* series as multiply(),
+  // under kernel=pred, once per call — and records nothing while ambient
+  // telemetry is off.
+  using S = MinPlus<float>;
+  const std::size_t m = 12, n = 20, k = 7;
+  auto A = random_matrix<float>(m, k, 96);
+  auto B = random_matrix<float>(k, n, 97);
+  auto C = random_matrix<float>(m, n, 98);
+  Matrix<std::int64_t> predB(k, n, 0), predC(m, n, -1);
+  telemetry::Registry& reg = telemetry::Registry::global();
+  const telemetry::Counter& calls = reg.counter("srgemm.calls", "kernel=pred");
+  const telemetry::Counter& flops = reg.counter("srgemm.flops", "kernel=pred");
+  const telemetry::Histogram& secs =
+      reg.histogram("srgemm.seconds", "kernel=pred");
+  const bool was_enabled = telemetry::enabled();
+  const std::uint64_t calls0 = calls.value(), flops0 = flops.value();
+  const std::uint64_t secs0 = secs.count();
+
+  telemetry::set_enabled(false);
+  srgemm::multiply_with_pred<S>(A.view(), B.view(), C.view(), predB.view(),
+                                predC.view());
+  EXPECT_EQ(calls.value(), calls0);
+  telemetry::set_enabled(true);
+  for (int rep = 0; rep < 3; ++rep)
+    srgemm::multiply_with_pred<S>(A.view(), B.view(), C.view(), predB.view(),
+                                  predC.view());
+  telemetry::set_enabled(was_enabled);
+
+  EXPECT_EQ(calls.value() - calls0, 3u);
+  EXPECT_EQ(flops.value() - flops0,
+            static_cast<std::uint64_t>(3 * srgemm::flops(m, n, k)));
+  EXPECT_EQ(secs.count() - secs0, 3u);
 }
 
 TEST(SrgemmPred, EwiseMergeEquivalentToFusedKernel) {
