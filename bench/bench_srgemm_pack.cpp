@@ -120,17 +120,18 @@ void BM_FwRoundRepack(benchmark::State& state) {
 }
 BENCHMARK(BM_FwRoundRepack)->Arg(64)->Arg(128)->Unit(benchmark::kMillisecond);
 
-/// Persistent panel packing: snapshot the pivot panels once per round and
-/// run every quadrant through multiply_prepacked (what blocked_fw does
-/// with prepack_panels, the default).
+/// Persistent panel packing: snapshot the pivot panels once per round
+/// into buffers with padded_ld strides and run every quadrant through
+/// multiply_prepacked (what blocked_fw does).
 void BM_FwRoundPrepacked(benchmark::State& state) {
   const std::size_t n = 1024, b = static_cast<std::size_t>(state.range(0));
   FwRound fw(n, b);
   auto cfg = parfw::srgemm::Config::tuned();
-  parfw::Matrix<float> row_panel(b, n), col_panel(n, b);
+  parfw::Matrix<float> row_panel(b, parfw::padded_ld<float>(n));
+  parfw::Matrix<float> col_panel(n, parfw::padded_ld<float>(b));
   for (auto _ : state) {
-    row_panel.view().copy_from(fw.a.sub(fw.k0, 0, b, n));
-    col_panel.view().copy_from(fw.a.sub(0, fw.k0, n, b));
+    row_panel.sub(0, 0, b, n).copy_from(fw.a.sub(fw.k0, 0, b, n));
+    col_panel.sub(0, 0, n, b).copy_from(fw.a.sub(0, fw.k0, n, b));
     fw.quadrants([&](std::size_t r0, std::size_t nr, std::size_t c0,
                      std::size_t nc) {
       if (nr == 0 || nc == 0) return;

@@ -19,7 +19,8 @@
 # --san builds a separate instrumented tree (-DPARFW_SAN=<san>) and runs
 # the concurrency-heavy suites under it — mpisim ranks and devsim streams
 # are real OS threads, so `--san thread` is the data-race gate for the
-# runtime, the trace sinks and the ooGSrGemm host/stream handoff.
+# runtime, the trace sinks, the ooGSrGemm host/stream handoff and the
+# pooled blocked-FW engine (test_core's BlockedFw.* and Apsp.* only).
 #
 # --faults is the resilience gate: the fault-injection matrix and the
 # crash-restart suites under AddressSanitizer, so recovery paths
@@ -440,13 +441,16 @@ if [[ -n "$san" ]]; then
     -DPARFW_SAN="$san" -DPARFW_BUILD_BENCH=OFF -DPARFW_BUILD_EXAMPLES=OFF
   cmake --build "$build_dir" -j"$(nproc)" \
     --target test_mpisim_stress test_mpisim test_sched test_telemetry \
-    test_offload test_devsim
+    test_offload test_devsim test_core
   "$build_dir/tests/test_mpisim_stress"
   "$build_dir/tests/test_mpisim"
   "$build_dir/tests/test_sched"
   "$build_dir/tests/test_telemetry"
   "$build_dir/tests/test_offload"
   "$build_dir/tests/test_devsim"
+  # The pooled single-node engine: BlockedFw.* includes a run whose
+  # products split C's rows across a 4-thread pool.
+  "$build_dir/tests/test_core" --gtest_filter='BlockedFw.*:Apsp.*'
   echo "check.sh --san $san: OK"
   exit 0
 fi

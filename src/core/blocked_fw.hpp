@@ -6,11 +6,15 @@
 //                    A(i,k) ← A(i,k) ⊕ A(i,k) ⊗ A(k,k)   (block column)
 //   3. MinPlusOuter — A(i,j) ← A(i,j) ⊕ A(i,k) ⊗ A(k,j)  ∀ i,j ≠ k
 //
-// PanelUpdate runs in place (C aliases an SRGEMM operand). That is safe
-// here because ⊕ is idempotent and A(k,k) is closed: any prematurely
+// The column-panel update runs in place (C aliases the A operand). That is
+// safe because ⊕ is idempotent and A(k,k) is closed: any prematurely
 // updated entry only substitutes a candidate that is itself a ⊕-sum of
 // valid path candidates, so the fixpoint is unchanged. This is exactly
-// the property the paper's asynchronous pipeline also relies on.
+// the property the paper's asynchronous pipeline also relies on. The
+// row-panel update (C aliases B) reads B from a snapshot of the pivot row
+// strip instead: the pool splits C by rows, and every worker streams all
+// of B while the others write their rows. The result is the same, since
+// both orders reach the same fixpoint.
 #pragma once
 
 #include <algorithm>
@@ -31,13 +35,6 @@ struct BlockedFwOptions : SolveCommon {
   /// Thread pool for the SRGEMM driver; nullptr = sequential.
   ThreadPool* pool = nullptr;
   srgemm::Config gemm{};
-  /// Persistent panel packing: in round k the pivot row panel A(k,·) and
-  /// column panel A(·,k) feed all four MinPlusOuter quadrants, so pack
-  /// each exactly once into reusable aligned scratch and run the quadrant
-  /// updates through multiply_prepacked — instead of letting every
-  /// quadrant's kernel re-pack its own strided slice of the same panels
-  /// (4x the panel traffic). Costs 2·n·b scratch elements.
-  bool prepack_panels = true;
 };
 
 /// Blocked FW over block iterations [start_block, nb) — the restartable
@@ -64,12 +61,13 @@ void blocked_floyd_warshall_range(
   srgemm::Config cfg = opt.gemm;
   cfg.pool = opt.pool;
   Matrix<T> scratch(b, b);
-  // Reusable pivot-panel scratch for the prepacked quadrant updates.
-  Matrix<T> row_panel, col_panel;
-  if (opt.prepack_panels && n > b) {
-    row_panel = Matrix<T>(b, n);
-    col_panel = Matrix<T>(n, b);
-  }
+  // Pivot row/column panel snapshots that the round's products stream
+  // through multiply_prepacked. Their leading dimensions are padded
+  // (padded_ld) so the rows the kernel streams as B never alias in cache
+  // at power-of-two n.
+  const std::size_t bmax = std::min(b, n);
+  Matrix<T> row_panel(bmax, padded_ld<T>(n));
+  Matrix<T> col_panel(n, padded_ld<T>(bmax));
 
   auto block_range = [&](std::size_t blk) {
     const std::size_t lo = blk * b;
@@ -78,47 +76,39 @@ void blocked_floyd_warshall_range(
 
   for (std::size_t k = start_block; k < nb; ++k) {
     const auto [k0, bk] = block_range(k);
+    const std::size_t after0 = k0 + bk;
+    const std::size_t after_n = n - after0;
     auto akk = a.sub(k0, k0, bk, bk);
 
     // 1. DiagUpdate
     diag_update<S>(akk, opt.diag, scratch.view(), cfg);
 
-    // 2. PanelUpdate — row panel (left-multiply by closed A(k,k)) and
-    //    column panel (right-multiply), both in place.
-    if (k0 > 0) {
-      srgemm::multiply<S>(akk, a.sub(k0, 0, bk, k0), a.sub(k0, 0, bk, k0), cfg);
-      srgemm::multiply<S>(a.sub(0, k0, k0, bk), akk, a.sub(0, k0, k0, bk), cfg);
-    }
-    if (k0 + bk < n) {
-      const std::size_t rest = n - (k0 + bk);
-      srgemm::multiply<S>(akk, a.sub(k0, k0 + bk, bk, rest),
-                          a.sub(k0, k0 + bk, bk, rest), cfg);
-      srgemm::multiply<S>(a.sub(k0 + bk, k0, rest, bk), akk,
-                          a.sub(k0 + bk, k0, rest, bk), cfg);
-    }
+    // 2. PanelUpdate on the halves left/above and right/below A(k,k). The
+    //    row panel reads B from a snapshot of the pivot row strip (see the
+    //    file comment); the column panel runs in place, since each worker
+    //    reads only the rows of A ≡ C it writes and B = A(k,k).
+    auto strip = row_panel.sub(0, 0, bk, n);
+    strip.copy_from(a.sub(k0, 0, bk, n));
+    auto panel_update = [&](std::size_t lo, std::size_t len) {
+      if (len == 0) return;
+      srgemm::multiply_prepacked<S>(akk, strip.sub(0, lo, bk, len),
+                                    a.sub(k0, lo, bk, len), cfg);
+      srgemm::multiply<S>(a.sub(lo, k0, len, bk), akk, a.sub(lo, k0, len, bk),
+                          cfg);
+    };
+    panel_update(0, k0);
+    panel_update(after0, after_n);
 
-    // 3. MinPlusOuter on the four off-panel quadrants. With persistent
-    //    panel packing the pivot row/column panels are snapshotted into
-    //    contiguous scratch once and every quadrant runs prepacked; the
-    //    fallback lets each quadrant's kernel pack (and re-pack) strided
-    //    panel views itself.
-    const std::size_t after0 = k0 + bk;
-    const std::size_t after_n = n - after0;
-    const bool prepack = opt.prepack_panels && n > b;
-    if (prepack) {
-      row_panel.sub(0, 0, bk, n).copy_from(a.sub(k0, 0, bk, n));
-      col_panel.sub(0, 0, n, bk).copy_from(a.sub(0, k0, n, bk));
-    }
+    // 3. MinPlusOuter on the four off-panel quadrants: re-snapshot the
+    //    updated pivot panels and run every quadrant prepacked.
+    strip.copy_from(a.sub(k0, 0, bk, n));
+    col_panel.sub(0, 0, n, bk).copy_from(a.sub(0, k0, n, bk));
     auto outer = [&](std::size_t r0, std::size_t nr, std::size_t c0,
                      std::size_t nc) {
       if (nr == 0 || nc == 0) return;
-      if (prepack)
-        srgemm::multiply_prepacked<S>(col_panel.sub(r0, 0, nr, bk),
-                                      row_panel.sub(0, c0, bk, nc),
-                                      a.sub(r0, c0, nr, nc), cfg);
-      else
-        srgemm::multiply<S>(a.sub(r0, k0, nr, bk), a.sub(k0, c0, bk, nc),
-                            a.sub(r0, c0, nr, nc), cfg);
+      srgemm::multiply_prepacked<S>(col_panel.sub(r0, 0, nr, bk),
+                                    strip.sub(0, c0, bk, nc),
+                                    a.sub(r0, c0, nr, nc), cfg);
     };
     outer(0, k0, 0, k0);
     outer(0, k0, after0, after_n);

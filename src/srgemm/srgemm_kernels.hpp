@@ -123,14 +123,16 @@ void tiled_kernel_packed(MatrixView<const typename S::value_type> A,
   using T = typename S::value_type;
   constexpr std::size_t MR = 4, NR = 16;
   const std::size_t m = C.rows(), n = C.cols(), k = A.cols();
+  // B rows land at padded_ld(n), never at an aliasing 4 KiB multiple.
+  const std::size_t ldb = padded_ld<T>(n);
   AlignedBuffer<T> a_pack(tile_m * tile_k);
-  AlignedBuffer<T> b_pack(std::min(tile_k, k) * n);
+  AlignedBuffer<T> b_pack(std::min(tile_k, k) * ldb);
 
   for (std::size_t k0 = 0; k0 < k; k0 += tile_k) {
     const std::size_t kk = std::min(tile_k, k - k0);
-    // Pack B(k0:k0+kk, :) contiguous (ldb = n), shared by every (i0, j0).
+    // Pack B(k0:k0+kk, :) row-contiguous, shared by every (i0, j0).
     for (std::size_t t = 0; t < kk; ++t)
-      std::copy_n(B.data() + (k0 + t) * B.ld(), n, b_pack.data() + t * n);
+      std::copy_n(B.data() + (k0 + t) * B.ld(), n, b_pack.data() + t * ldb);
     for (std::size_t i0 = 0; i0 < m; i0 += tile_m) {
       const std::size_t mi = std::min(tile_m, m - i0);
       // Pack A(i0:i0+mi, k0:k0+kk) contiguous (lda = kk) — once per tile.
@@ -139,7 +141,7 @@ void tiled_kernel_packed(MatrixView<const typename S::value_type> A,
                     a_pack.data() + i * kk);
       for (std::size_t j0 = 0; j0 < n; j0 += tile_n) {
         const std::size_t nj = std::min(tile_n, n - j0);
-        scalar_sweep<S, MR, NR>(a_pack.data(), kk, b_pack.data() + j0, n,
+        scalar_sweep<S, MR, NR>(a_pack.data(), kk, b_pack.data() + j0, ldb,
                                 C.data() + i0 * C.ld() + j0, C.ld(), mi, nj,
                                 kk);
       }
@@ -238,12 +240,13 @@ void tiled_kernel_simd(MatrixView<const typename S::value_type> A,
     return;
   }
 
+  const std::size_t ldb = padded_ld<T>(n);
   AlignedBuffer<T> a_pack(tile_m * tile_k);
-  AlignedBuffer<T> b_pack(std::min(tile_k, k) * n);
+  AlignedBuffer<T> b_pack(std::min(tile_k, k) * ldb);
   for (std::size_t k0 = 0; k0 < k; k0 += tile_k) {
     const std::size_t kk = std::min(tile_k, k - k0);
     for (std::size_t t = 0; t < kk; ++t)
-      std::copy_n(B.data() + (k0 + t) * B.ld(), n, b_pack.data() + t * n);
+      std::copy_n(B.data() + (k0 + t) * B.ld(), n, b_pack.data() + t * ldb);
     for (std::size_t i0 = 0; i0 < m; i0 += tile_m) {
       const std::size_t mi = std::min(tile_m, m - i0);
       for (std::size_t i = 0; i < mi; ++i)
@@ -251,7 +254,7 @@ void tiled_kernel_simd(MatrixView<const typename S::value_type> A,
                     a_pack.data() + i * kk);
       for (std::size_t j0 = 0; j0 < n; j0 += tile_n) {
         const std::size_t nj = std::min(tile_n, n - j0);
-        simd_sweep<S, MR, NV>(a_pack.data(), kk, b_pack.data() + j0, n,
+        simd_sweep<S, MR, NV>(a_pack.data(), kk, b_pack.data() + j0, ldb,
                               C.data() + i0 * C.ld() + j0, C.ld(), mi, nj,
                               kk);
       }

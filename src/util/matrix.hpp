@@ -122,6 +122,25 @@ class Matrix {
   std::size_t rows_ = 0, cols_ = 0;
 };
 
+/// Leading dimension for a scratch buffer the SRGEMM kernels stream as B
+/// (one row per k step): the smallest ld >= cols whose byte stride is an
+/// odd number of 64-byte lines. Rows stay line-aligned on an aligned base,
+/// and an odd line stride is coprime with every power-of-two set count, so
+/// successive rows spread over all cache sets instead of piling onto the
+/// few a 4 KiB-multiple stride (n = 1024, 4096, ... floats) maps them to.
+/// Idempotent. Only engine-owned scratch uses it: Matrix itself stays
+/// contiguous (ld == cols), since checkpoints and serving read data()
+/// as one dense block.
+template <typename T>
+constexpr std::size_t padded_ld(std::size_t cols) {
+  constexpr std::size_t kLine = 64;
+  static_assert(kLine % sizeof(T) == 0, "element size must divide a line");
+  constexpr std::size_t per_line = kLine / sizeof(T);
+  std::size_t lines = (cols + per_line - 1) / per_line;
+  if (lines % 2 == 0) ++lines;
+  return lines * per_line;
+}
+
 /// Max |a-b| over two equally-shaped views; used by tests and the
 /// end-to-end output validation the paper describes in §5.1.
 template <typename T>

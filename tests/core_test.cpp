@@ -111,21 +111,37 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(1, 8, 16, 33, 64, 200),
                        ::testing::Values(0, 1)));  // kClassic, kLogSquaring
 
-TEST(BlockedFw, PrepackedPanelsMatchPerQuadrantPacking) {
-  // Persistent panel packing (the default) must be bit-identical to the
-  // repack-per-quadrant path across block sizes, including fringe blocks.
-  const auto g = gen::erdos_renyi(130, 0.2, 91, 1.0, 100.0, /*integral=*/true);
-  for (std::size_t b : {16u, 33u, 64u}) {
-    auto pre = g.distance_matrix<S>();
-    auto re = pre.clone();
-    BlockedFwOptions opt;
-    opt.block_size = b;
-    opt.prepack_panels = true;
-    blocked_floyd_warshall<S>(pre.view(), opt);
-    opt.prepack_panels = false;
-    blocked_floyd_warshall<S>(re.view(), opt);
-    EXPECT_EQ(max_abs_diff<double>(pre.view(), re.view()), 0.0) << "b=" << b;
+TEST(BlockedFw, MatchesOracleAtPowerOfTwoAndFringeSizes) {
+  // Power-of-two n is where an unpadded pivot panel's row stride would be
+  // a 4 KiB multiple; n = 130 leaves a fringe block for every b.
+  for (int n : {256, 512, 130}) {
+    const auto g = gen::erdos_renyi(n, 0.05, 91 + n, 1.0, 100.0, /*integral=*/true);
+    const auto expected = fw_oracle(g);
+    for (std::size_t b : {33u, 64u, 128u}) {
+      auto d = g.distance_matrix<S>();
+      BlockedFwOptions opt;
+      opt.block_size = b;
+      blocked_floyd_warshall<S>(d.view(), opt);
+      EXPECT_EQ(max_abs_diff<double>(expected.view(), d.view()), 0.0)
+          << "n=" << n << " b=" << b;
+    }
   }
+}
+
+TEST(BlockedFw, PoolSplitPanelUpdateMatchesSequential) {
+  // b = 128 is two default 64-row tiles, so the pool really splits C's
+  // rows in the PanelUpdate and MinPlusOuter products. The row-panel
+  // product must not read B from rows other workers are writing (the
+  // thread-sanitizer job runs this test).
+  ThreadPool pool(4);
+  const auto g = gen::erdos_renyi(384, 0.05, 384, 1.0, 100.0, /*integral=*/true);
+  const auto expected = fw_oracle(g);
+  auto d = g.distance_matrix<S>();
+  BlockedFwOptions opt;
+  opt.block_size = 128;
+  opt.pool = &pool;
+  blocked_floyd_warshall<S>(d.view(), opt);
+  EXPECT_EQ(max_abs_diff<double>(expected.view(), d.view()), 0.0);
 }
 
 TEST(BlockedFw, ParallelPoolMatchesSequential) {

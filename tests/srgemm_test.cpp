@@ -460,6 +460,40 @@ TEST(SrgemmKernels, AllVariantsOnStridedSubViews) {
   EXPECT_EQ(max_abs_diff<float>(expected.view(), Cp.view()), 0.0);
 }
 
+TEST(SrgemmKernels, PowerOfTwoLeadingDimensions) {
+  // Operands carved from backings whose row stride is a 4 KiB multiple
+  // (ld = 1024 and 2048 floats), with n off every NR multiple: the packing
+  // kernels re-stride B into a padded_ld buffer, and the prepacked entry
+  // streams B in place at the aliasing stride.
+  using S = MinPlus<float>;
+  for (std::size_t ld : {1024u, 2048u}) {
+    auto backing = random_matrix<float>(200, ld, 120 + ld, 0.05);
+    auto c_backing = random_matrix<float>(80, ld, 121 + ld);
+    const std::size_t m = 70, n = ld - 37, k = 90;
+    auto A = backing.sub(3, 5, m, k);
+    auto B = backing.sub(100, 17, k, n);
+    auto C0 = c_backing.sub(2, 9, m, n);
+    Matrix<float> expected(m, n);
+    expected.view().copy_from(C0);
+    srgemm::multiply_reference<S>(A, B, expected.view());
+    for (srgemm::Kernel kern : kAllKernels) {
+      for (const srgemm::Config& cfg :
+           {variant_cfg(kern), srgemm::Config{.kernel = kern}}) {
+        Matrix<float> C(m, n);
+        C.view().copy_from(C0);
+        srgemm::multiply<S>(A, B, C.view(), cfg);
+        EXPECT_EQ(max_abs_diff<float>(expected.view(), C.view()), 0.0)
+            << "kernel " << static_cast<int>(kern) << " ld " << ld;
+        Matrix<float> Cp(m, n);
+        Cp.view().copy_from(C0);
+        srgemm::multiply_prepacked<S>(A, B, Cp.view(), cfg);
+        EXPECT_EQ(max_abs_diff<float>(expected.view(), Cp.view()), 0.0)
+            << "prepacked kernel " << static_cast<int>(kern) << " ld " << ld;
+      }
+    }
+  }
+}
+
 TEST(SrgemmKernels, SimdParallelDriverMatchesSequential) {
   using S = MinPlus<float>;
   ThreadPool pool(4);

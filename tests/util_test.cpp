@@ -97,6 +97,30 @@ TEST(Matrix, MaxAbsDiff) {
   EXPECT_DOUBLE_EQ(max_abs_diff<double>(a.view(), b.view()), 3.5);
 }
 
+TEST(Matrix, PaddedLdIsAnOddNumberOfLines) {
+  auto check = [](auto elem, std::size_t cols) {
+    using T = decltype(elem);
+    const std::size_t ld = padded_ld<T>(cols);
+    const std::size_t bytes = ld * sizeof(T);
+    EXPECT_GE(ld, cols);
+    EXPECT_EQ(bytes % 64, 0u) << cols;
+    EXPECT_EQ(bytes / 64 % 2, 1u) << cols;
+    EXPECT_EQ(padded_ld<T>(ld), ld) << cols;  // idempotent
+    // Under two lines of padding: the next odd line count would not be.
+    EXPECT_LT(ld, cols + 2 * (64 / sizeof(T))) << cols;
+  };
+  for (std::size_t cols : {0u, 1u, 15u, 16u, 17u, 33u, 130u, 256u, 1024u,
+                           4096u, 4112u, 4160u}) {
+    check(float{}, cols);
+    check(double{}, cols);
+    check(std::uint8_t{}, cols);
+  }
+  EXPECT_EQ(padded_ld<float>(4096), 4112u);  // 256 lines -> 257
+  EXPECT_EQ(padded_ld<float>(4160), 4176u);  // 260 lines -> 261
+  EXPECT_EQ(padded_ld<double>(512), 520u);   // 64 lines -> 65
+  EXPECT_EQ(padded_ld<float>(100), 112u);    // 7 lines, already odd
+}
+
 TEST(Check, ThrowsCheckError) {
   EXPECT_THROW(PARFW_CHECK(1 == 2), check_error);
   EXPECT_NO_THROW(PARFW_CHECK(1 == 1));
