@@ -20,7 +20,7 @@
 # the concurrency-heavy suites under it — mpisim ranks and devsim streams
 # are real OS threads, so `--san thread` is the data-race gate for the
 # runtime, the trace sinks, the ooGSrGemm host/stream handoff and the
-# pooled blocked-FW engine (test_core's BlockedFw.* and Apsp.* only).
+# pooled blocked-FW engine (test_core's BlockedFw.*, Apsp.* and Paths.*).
 #
 # --faults is the resilience gate: the fault-injection matrix and the
 # crash-restart suites under AddressSanitizer, so recovery paths
@@ -57,8 +57,9 @@
 # --paths is the path-tracking gate: bench_paths (argmin-SIMD kernel vs
 # the scalar oracle, plus the end-to-end paths overhead of a distributed
 # solve) diffed against BENCH_paths.json, the >= 5x fused-kernel speedup
-# acceptance enforced from the fresh JSON, and an apsp --paths
-# end-to-end run (distributed) that must answer a path query.
+# acceptance enforced from the fresh JSON, and apsp --paths end-to-end
+# runs (distributed, and pooled single node) that must answer a path
+# query.
 #
 # --serve is the serving-tier gate (DESIGN.md §4.12-4.13): the
 # test_serve and test_cli suites, bench_serve diffed against
@@ -270,6 +271,13 @@ EOF
   grep -q "^path:" "$out_dir/paths_query.txt" \
     || { echo "apsp --paths did not print a path"; exit 1; }
 
+  echo "== apsp --paths end-to-end (single node, pooled, path query) =="
+  "$build_dir/tools/apsp" --gen er --n 240 --p 0.2 --seed 7 \
+    --algorithm parallel --paths --query 0,199 \
+    | tee "$out_dir/paths_node_query.txt"
+  grep -q "^path:" "$out_dir/paths_node_query.txt" \
+    || { echo "apsp --algorithm parallel --paths did not print a path"; exit 1; }
+
   echo "== apsp --paths --variant auto (tuner prices the paths schedule) =="
   rm -f "$out_dir/cache.json"
   PARFW_TUNE_CACHE="$out_dir/cache.json" \
@@ -448,9 +456,10 @@ if [[ -n "$san" ]]; then
   "$build_dir/tests/test_telemetry"
   "$build_dir/tests/test_offload"
   "$build_dir/tests/test_devsim"
-  # The pooled single-node engine: BlockedFw.* includes a run whose
-  # products split C's rows across a 4-thread pool.
-  "$build_dir/tests/test_core" --gtest_filter='BlockedFw.*:Apsp.*'
+  # The pooled single-node engine: BlockedFw.* and Paths.* include runs
+  # whose products split C's rows across a 4-thread pool, for values and
+  # for paths.
+  "$build_dir/tests/test_core" --gtest_filter='BlockedFw.*:Apsp.*:Paths.*'
   echo "check.sh --san $san: OK"
   exit 0
 fi

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 #include "semiring/semiring.hpp"
 #include "srgemm/srgemm.hpp"
@@ -38,18 +39,27 @@ inline std::size_t log_squaring_steps(std::size_t b) {
 
 /// Close a diagonal block in place with the chosen strategy.
 /// `scratch` must be at least b*b elements when using kLogSquaring
-/// (pass {} to allocate internally).
+/// (pass {} to allocate internally). A non-empty `pred` (the block's
+/// predecessors) pins kClassic and carries the argmin: log-squaring loses
+/// the argmin chain structure. The single-node engine and the distributed
+/// interpreter both close paths diagonals here, which keeps their
+/// predecessor matrices bit-identical.
 template <typename S>
 void diag_update(MatrixView<typename S::value_type> block,
                  DiagStrategy strategy = DiagStrategy::kClassic,
                  MatrixView<typename S::value_type> scratch = {},
-                 const srgemm::Config& cfg = {}) {
+                 const srgemm::Config& cfg = {},
+                 MatrixView<std::int64_t> pred = {}) {
   static_assert(is_idempotent<S>(), "DiagUpdate requires idempotent semiring");
   using T = typename S::value_type;
   PARFW_CHECK(block.rows() == block.cols());
   const std::size_t b = block.rows();
   if (b == 0) return;
 
+  if (!pred.empty()) {
+    floyd_warshall_paths<S>(block, pred);
+    return;
+  }
   if (strategy == DiagStrategy::kClassic) {
     floyd_warshall<S>(block);
     return;

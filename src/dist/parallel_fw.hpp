@@ -49,7 +49,6 @@
 #include <span>
 #include <thread>
 
-#include "core/blocked_fw_paths.hpp"
 #include "core/checkpoint_store.hpp"
 #include "core/diag_update.hpp"
 #include "core/solve_options.hpp"
@@ -177,6 +176,13 @@ void parallel_fw_resume(mpi::Comm& world,
                 pred->coord() == a.coord());
     plocal = pred->local().view();
   }
+  // Sub-block of a pred buffer, or an empty view on a values run, where
+  // every pred buffer is empty (srgemm::multiply_payload and diag_update
+  // then run values-only).
+  auto psub = [](MatrixView<std::int64_t> p, std::size_t r0, std::size_t c0,
+                 std::size_t nr, std::size_t nc) {
+    return p.empty() ? p : p.sub(r0, c0, nr, nc);
+  };
 
   RowColComms comms = make_row_col_comms(world, grid);
   mpi::Comm& row_comm = comms.row;
@@ -265,15 +271,10 @@ void parallel_fw_resume(mpi::Comm& world,
         // Owner closes A(k,k) in place and snapshots it into akk (and,
         // for paths, the block's predecessors into akk_pred).
         auto dk = a.block(a.local_row(k), a.local_col(k));
-        if (paths) {
-          auto pk = plocal.sub(pred->local_row(k) * b,
-                               pred->local_col(k) * b, b, b);
-          diag_update_with_pred<S>(dk, pk);
-          akk_pred.view().copy_from(MatrixView<const std::int64_t>(pk));
-        } else {
-          diag_update<S>(dk, opt.diag, diag_scratch.view(), opt.gemm);
-        }
+        auto pk = psub(plocal, a.local_row(k) * b, a.local_col(k) * b, b, b);
+        diag_update<S>(dk, opt.diag, diag_scratch.view(), opt.gemm, pk);
         akk.view().copy_from(dk);
+        akk_pred.view().copy_from(pk);
         break;
       }
       case sched::OpKind::kDiagBcastRow:
@@ -295,16 +296,11 @@ void parallel_fw_resume(mpi::Comm& world,
         // lives in the pivot block row, i.e. in this strip).
         if (nlc == 0) break;
         auto strip = local.sub(a.local_row(k) * b, 0, b, nlc * b);
-        if (paths) {
-          auto pstrip = plocal.sub(pred->local_row(k) * b, 0, b, nlc * b);
-          srgemm::multiply_with_pred<S>(
-              akk.view(), MatrixView<const T>(strip), strip,
-              MatrixView<const std::int64_t>(pstrip), pstrip, opt.gemm);
-          rowp_pred.view().copy_from(MatrixView<const std::int64_t>(pstrip));
-        } else {
-          srgemm::multiply<S>(akk.view(), strip, strip, opt.gemm);
-        }
+        auto pstrip = psub(plocal, a.local_row(k) * b, 0, b, nlc * b);
+        srgemm::multiply_payload<S>(akk.view(), strip, strip, pstrip, pstrip,
+                                    opt.gemm, /*prepacked=*/false);
         rowp.view().copy_from(strip);
+        rowp_pred.view().copy_from(pstrip);
         break;
       }
       case sched::OpKind::kPanelUpdateCol: {
@@ -312,15 +308,9 @@ void parallel_fw_resume(mpi::Comm& world,
         // pivot block row), which is why the col panel has no pred bcast.
         if (nlr == 0) break;
         auto strip = local.sub(0, a.local_col(k) * b, nlr * b, b);
-        if (paths) {
-          auto pstrip = plocal.sub(0, pred->local_col(k) * b, nlr * b, b);
-          srgemm::multiply_with_pred<S>(
-              MatrixView<const T>(strip), akk.view(), strip,
-              MatrixView<const std::int64_t>(akk_pred.view()), pstrip,
-              opt.gemm);
-        } else {
-          srgemm::multiply<S>(strip, akk.view(), strip, opt.gemm);
-        }
+        auto pstrip = psub(plocal, 0, a.local_col(k) * b, nlr * b, b);
+        srgemm::multiply_payload<S>(strip, akk.view(), strip, akk_pred.view(),
+                                    pstrip, opt.gemm, /*prepacked=*/false);
         colp.view().copy_from(strip);
         break;
       }
@@ -354,15 +344,10 @@ void parallel_fw_resume(mpi::Comm& world,
         const std::size_t k1 = k + 1;
         auto strip = local.sub(a.local_row(k1) * b, 0, b, nlc * b);
         auto cp_blk = colp.sub(a.local_row(k1) * b, 0, b, b);
-        if (paths) {
-          auto pstrip = plocal.sub(pred->local_row(k1) * b, 0, b, nlc * b);
-          srgemm::multiply_with_pred<S>(
-              MatrixView<const T>(cp_blk), rowp.view(), strip,
-              MatrixView<const std::int64_t>(rowp_pred.view()), pstrip,
-              opt.gemm);
-        } else {
-          srgemm::multiply_prepacked<S>(cp_blk, rowp.view(), strip, opt.gemm);
-        }
+        auto pstrip = psub(plocal, a.local_row(k1) * b, 0, b, nlc * b);
+        srgemm::multiply_payload<S>(cp_blk, rowp.view(), strip,
+                                    rowp_pred.view(), pstrip, opt.gemm,
+                                    /*prepacked=*/true);
         break;
       }
       case sched::OpKind::kLookaheadCol: {
@@ -370,15 +355,10 @@ void parallel_fw_resume(mpi::Comm& world,
         const std::size_t k1 = k + 1;
         auto strip = local.sub(0, a.local_col(k1) * b, nlr * b, b);
         auto rp_blk = rowp.sub(0, a.local_col(k1) * b, b, b);
-        if (paths) {
-          auto pstrip = plocal.sub(0, pred->local_col(k1) * b, nlr * b, b);
-          auto prp_blk = rowp_pred.sub(0, a.local_col(k1) * b, b, b);
-          srgemm::multiply_with_pred<S>(
-              colp.view(), MatrixView<const T>(rp_blk), strip,
-              MatrixView<const std::int64_t>(prp_blk), pstrip, opt.gemm);
-        } else {
-          srgemm::multiply_prepacked<S>(colp.view(), rp_blk, strip, opt.gemm);
-        }
+        auto prp_blk = psub(rowp_pred.view(), 0, a.local_col(k1) * b, b, b);
+        auto pstrip = psub(plocal, 0, a.local_col(k1) * b, nlr * b, b);
+        srgemm::multiply_payload<S>(colp.view(), rp_blk, strip, prp_blk,
+                                    pstrip, opt.gemm, /*prepacked=*/true);
         break;
       }
       case sched::OpKind::kOuterUpdate: {
@@ -389,21 +369,17 @@ void parallel_fw_resume(mpi::Comm& world,
         // rewrite never fires on it. The received panel buffers are dense
         // and reused for every quadrant, so the CPU path runs prepacked.
         if (local.empty()) break;
-        if (paths) {
-          if (op.offload) {
-            (void)offload::oog_srgemm_pred<S>(*device, colp.view(),
-                                              rowp.view(), local,
-                                              rowp_pred.view(), plocal, oog);
-          } else {
-            srgemm::multiply_with_pred<S>(colp.view(), rowp.view(), local,
-                                          rowp_pred.view(), plocal, opt.gemm);
-          }
-        } else if (op.offload) {
+        if (!op.offload) {
+          srgemm::multiply_payload<S>(colp.view(), rowp.view(), local,
+                                      rowp_pred.view(), plocal, opt.gemm,
+                                      /*prepacked=*/true);
+        } else if (paths) {
+          (void)offload::oog_srgemm_pred<S>(*device, colp.view(), rowp.view(),
+                                            local, rowp_pred.view(), plocal,
+                                            oog);
+        } else {
           (void)offload::oog_srgemm<S>(*device, colp.view(), rowp.view(),
                                        local, oog);
-        } else {
-          srgemm::multiply_prepacked<S>(colp.view(), rowp.view(), local,
-                                        opt.gemm);
         }
         break;
       }

@@ -399,13 +399,45 @@ void multiply_reference(MatrixView<const typename S::value_type> A,
   detail::naive_kernel<S>(A, B, C);
 }
 
+/// Scalar reference for multiply_with_pred: for each (i,j), an ascending-t
+/// scan that takes the first strict improvement and its predB(t,j). The
+/// fused kernel is bit-identical to it on non-aliased operands; the kernel
+/// tests diff against it and bench_paths measures the speedup over it.
+template <typename S>
+void multiply_with_pred_reference(MatrixView<const typename S::value_type> A,
+                                  MatrixView<const typename S::value_type> B,
+                                  MatrixView<typename S::value_type> C,
+                                  MatrixView<const std::int64_t> predB,
+                                  MatrixView<std::int64_t> predC) {
+  using T = typename S::value_type;
+  PARFW_CHECK(A.rows() == C.rows() && B.cols() == C.cols() &&
+              A.cols() == B.rows());
+  PARFW_CHECK(predB.rows() == B.rows() && predB.cols() == B.cols());
+  PARFW_CHECK(predC.rows() == C.rows() && predC.cols() == C.cols());
+  const std::size_t m = C.rows(), n = C.cols(), k = A.cols();
+  for (std::size_t i = 0; i < m; ++i)
+    for (std::size_t j = 0; j < n; ++j) {
+      T best = C(i, j);
+      std::int64_t bp = predC(i, j);
+      for (std::size_t t = 0; t < k; ++t) {
+        const T cand = S::mul(A(i, t), B(t, j));
+        if (S::less_add(cand, best)) {
+          best = cand;
+          bp = predB(t, j);
+        }
+      }
+      C(i, j) = best;
+      predC(i, j) = bp;
+    }
+}
+
 /// Fused predecessor-tracking SRGEMM:
 ///     where C[i,j] improves through row t of B, predC[i,j] ← predB[t,j]
 /// (the blocked-FW pred rule: pred(i,j) ← pred(t,j), with predB carrying
 /// global vertex ids). One deterministic kernel — detail::pred_sweep_rows,
 /// SIMD when the semiring has lane-wise forms — services every call site,
 /// which is what makes the distributed pred matrices bit-identical to the
-/// single-node blocked_floyd_warshall_paths result.
+/// single-node blocked_floyd_warshall result with a pred view.
 ///
 /// Aliasing: the blocked-FW panel updates deliberately alias (row panel
 /// B ≡ C, column panel A ≡ C); both are well-defined under the kernel's
@@ -449,6 +481,26 @@ void multiply_with_pred(MatrixView<const typename S::value_type> A,
   }
   detail::record_dispatch_metrics<S>("kernel=pred", m, C.cols(), A.cols(),
                                      /*packs=*/false, dispatch);
+}
+
+/// The SRGEMM entry of the payload-generic engines (blocked FW and the
+/// distributed interpreter's compute ops). Empty pred views mean a
+/// values-only product: multiply_prepacked when the caller's operands are
+/// panel-resident, multiply otherwise. Non-empty ones select the fused
+/// argmin kernel multiply_with_pred, which packs nothing either way.
+template <typename S>
+void multiply_payload(MatrixView<const typename S::value_type> A,
+                      MatrixView<const typename S::value_type> B,
+                      MatrixView<typename S::value_type> C,
+                      MatrixView<const std::int64_t> predB,
+                      MatrixView<std::int64_t> predC, const Config& cfg,
+                      bool prepacked) {
+  if (!predC.empty())
+    multiply_with_pred<S>(A, B, C, predB, predC, cfg);
+  else if (prepacked)
+    multiply_prepacked<S>(A, B, C, cfg);
+  else
+    multiply<S>(A, B, C, cfg);
 }
 
 /// Element-wise accumulate with predecessor attachment (the offload

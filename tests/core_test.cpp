@@ -3,12 +3,15 @@
 // reconstruction, negative cycles, incremental updates, other semirings.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <string>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "core/apsp.hpp"
 #include "core/blocked_fw.hpp"
-#include "core/blocked_fw_paths.hpp"
 #include "core/diag_update.hpp"
 #include "core/floyd_warshall.hpp"
 #include "core/incremental.hpp"
@@ -139,7 +142,7 @@ TEST(BlockedFw, PoolSplitPanelUpdateMatchesSequential) {
   auto d = g.distance_matrix<S>();
   BlockedFwOptions opt;
   opt.block_size = 128;
-  opt.pool = &pool;
+  opt.gemm.pool = &pool;
   blocked_floyd_warshall<S>(d.view(), opt);
   EXPECT_EQ(max_abs_diff<double>(expected.view(), d.view()), 0.0);
 }
@@ -151,7 +154,7 @@ TEST(BlockedFw, ParallelPoolMatchesSequential) {
   auto d = g.distance_matrix<S>();
   BlockedFwOptions opt;
   opt.block_size = 32;
-  opt.pool = &pool;
+  opt.gemm.pool = &pool;
   blocked_floyd_warshall<S>(d.view(), opt);
   EXPECT_EQ(max_abs_diff<double>(expected.view(), d.view()), 0.0);
 }
@@ -230,29 +233,59 @@ TEST(Paths, ReconstructedPathsAreValidAndOptimal) {
   }
 }
 
+std::size_t pred_mismatches(MatrixView<const std::int64_t> x,
+                            MatrixView<const std::int64_t> y) {
+  std::size_t mism = 0;
+  for (std::size_t i = 0; i < x.rows(); ++i)
+    for (std::size_t j = 0; j < x.cols(); ++j) mism += x(i, j) != y(i, j);
+  return mism;
+}
+
 TEST(Paths, BlockedPathsMatchSequentialDistances) {
-  const auto g = gen::erdos_renyi(50, 0.25, 92, 1.0, 100.0, /*integral=*/true);
-  ApspOptions seq;
-  seq.algorithm = ApspAlgorithm::kSequential;
-  seq.track_paths = true;
-  ApspOptions blk;
-  blk.algorithm = ApspAlgorithm::kBlocked;
-  blk.track_paths = true;
-  blk.block_size = 13;
-  const auto a = apsp<S>(g, seq);
-  const auto b = apsp<S>(g, blk);
-  EXPECT_EQ(max_abs_diff<double>(a.dist.view(), b.dist.view()), 0.0);
-  // Both predecessor matrices must induce optimal valid paths.
-  const auto w = g.distance_matrix<S>();
-  for (vertex_t s = 0; s < 50; ++s)
-    for (vertex_t t = 0; t < 50; ++t) {
-      if (value_traits<double>::is_inf(b.dist(s, t)) || s == t) continue;
-      const auto p = b.query(s, t).path;
-      ASSERT_FALSE(p.empty());
-      double len = 0;
-      for (std::size_t i = 0; i + 1 < p.size(); ++i) len += w(p[i], p[i + 1]);
-      EXPECT_NEAR(len, b.dist(s, t), 1e-9);
-    }
+  // Fringe blocks (67, 130 with b = 13, 16, 32) and a pooled run: n = 130
+  // gives the pred kernel enough rows for the pool to split C.
+  ThreadPool pool(4);
+  std::vector<std::pair<int, std::size_t>> cases = {{50, 13}};
+  for (int n : {64, 67, 130})
+    for (std::size_t b : {13u, 16u, 32u}) cases.emplace_back(n, b);
+  for (const auto& [n, bs] : cases) {
+    SCOPED_TRACE("n=" + std::to_string(n) + " b=" + std::to_string(bs));
+    const auto g =
+        gen::erdos_renyi(n, 0.25, 92 + n, 1.0, 100.0, /*integral=*/true);
+    ApspOptions seq;
+    seq.algorithm = ApspAlgorithm::kSequential;
+    seq.track_paths = true;
+    ApspOptions blk;
+    blk.algorithm = ApspAlgorithm::kBlocked;
+    blk.track_paths = true;
+    blk.block_size = bs;
+    const auto a = apsp<S>(g, seq);
+    const auto b = apsp<S>(g, blk);
+    EXPECT_EQ(max_abs_diff<double>(a.dist.view(), b.dist.view()), 0.0);
+    // Both predecessor matrices must induce optimal valid paths.
+    const auto w = g.distance_matrix<S>();
+    for (vertex_t s = 0; s < n; ++s)
+      for (vertex_t t = 0; t < n; ++t) {
+        if (value_traits<double>::is_inf(b.dist(s, t)) || s == t) continue;
+        const auto p = b.query(s, t).path;
+        ASSERT_FALSE(p.empty());
+        double len = 0;
+        for (std::size_t i = 0; i + 1 < p.size(); ++i)
+          len += w(p[i], p[i + 1]);
+        EXPECT_NEAR(len, b.dist(s, t), 1e-9);
+      }
+
+    // The pooled engine must not change a single predecessor.
+    auto d = g.distance_matrix<S>();
+    Matrix<std::int64_t> pred(d.rows(), d.cols());
+    init_predecessors<S>(d.view(), pred.view());
+    BlockedFwOptions opt;
+    opt.block_size = bs;
+    opt.gemm.pool = &pool;
+    blocked_floyd_warshall<S>(d.view(), opt, pred.view());
+    EXPECT_EQ(max_abs_diff<double>(b.dist.view(), d.view()), 0.0);
+    EXPECT_EQ(pred_mismatches(b.pred->view(), pred.view()), 0u);
+  }
 }
 
 TEST(Paths, SelfPathIsSingleton) {
@@ -280,6 +313,31 @@ TEST(Apsp, AlgorithmsAgree) {
   const auto c = apsp<S>(g, popt);
   EXPECT_EQ(max_abs_diff<double>(a.dist.view(), b.dist.view()), 0.0);
   EXPECT_EQ(max_abs_diff<double>(a.dist.view(), c.dist.view()), 0.0);
+}
+
+TEST(Apsp, ParallelPathsUsesGlobalPool) {
+  // kBlockedParallel must hand the global pool to a paths solve too, and
+  // the pooled preds must equal the single-thread kBlocked ones.
+  if (ThreadPool::global().size() < 2) GTEST_SKIP() << "global pool < 2";
+  struct TaskCount : PoolObserver {
+    std::atomic<std::size_t> tasks{0};
+    void on_queue_depth(std::size_t) override {}
+    void on_task(double, double) override { ++tasks; }
+  } obs;
+  const auto g = gen::erdos_renyi(301, 0.05, 301, 1.0, 100.0, /*integral=*/true);
+  ApspOptions blk;
+  blk.algorithm = ApspAlgorithm::kBlocked;
+  blk.block_size = 32;
+  blk.track_paths = true;
+  ApspOptions par = blk;
+  par.algorithm = ApspAlgorithm::kBlockedParallel;
+  const auto want = apsp<S>(g, blk);
+  ThreadPool::global().set_observer(&obs);
+  const auto got = apsp<S>(g, par);
+  ThreadPool::global().set_observer(nullptr);
+  EXPECT_GT(obs.tasks.load(), 0u);
+  EXPECT_EQ(max_abs_diff<double>(want.dist.view(), got.dist.view()), 0.0);
+  EXPECT_EQ(pred_mismatches(want.pred->view(), got.pred->view()), 0u);
 }
 
 TEST(Apsp, RejectNegativeCycleOption) {

@@ -5,6 +5,7 @@
 
 #include <tuple>
 
+#include "core/blocked_fw.hpp"
 #include "core/floyd_warshall.hpp"
 #include "dist/block_cyclic.hpp"
 #include "dist/driver.hpp"
@@ -218,7 +219,8 @@ TEST_P(DistPathsParam, PredMatrixBitIdenticalToBlockedOracle) {
   auto exp_dist = gen.full(static_cast<vertex_t>(n));
   Matrix<std::int64_t> exp_pred(n, n);
   init_predecessors<S>(exp_dist.view(), exp_pred.view());
-  blocked_floyd_warshall_paths<S>(exp_dist.view(), exp_pred.view(), b);
+  blocked_floyd_warshall<S>(exp_dist.view(), {{.block_size = b}},
+                            exp_pred.view());
 
   // tiled: 2x1 node grid of 1x2 tiles — 2x2 process grid over two nodes,
   // so the node-aware ring/tree paths are exercised without a 16-rank run.
@@ -303,7 +305,8 @@ TEST(DistPaths, RectangularGridsAlsoBitIdentical) {
     auto exp_dist = gen.full(static_cast<vertex_t>(n));
     Matrix<std::int64_t> exp_pred(n, n);
     init_predecessors<S>(exp_dist.view(), exp_pred.view());
-    blocked_floyd_warshall_paths<S>(exp_dist.view(), exp_pred.view(), b);
+    blocked_floyd_warshall<S>(exp_dist.view(), {{.block_size = b}},
+                              exp_pred.view());
 
     const auto grid = GridSpec::row_major(pr, pc);
     Matrix<float> got_dist;

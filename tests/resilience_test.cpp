@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "core/blocked_fw.hpp"
 #include "core/checkpoint.hpp"
 #include "core/checkpoint_store.hpp"
 #include "core/floyd_warshall.hpp"
@@ -298,7 +299,8 @@ TEST_P(CrashRestartPaths, PredMatrixBitIdenticalAfterRestart) {
   auto exp_dist = gen.full(static_cast<vertex_t>(n));
   Matrix<std::int64_t> exp_pred(n, n);
   init_predecessors<S>(exp_dist.view(), exp_pred.view());
-  blocked_floyd_warshall_paths<S>(exp_dist.view(), exp_pred.view(), b);
+  blocked_floyd_warshall<S>(exp_dist.view(), {{.block_size = b}},
+                            exp_pred.view());
 
   const auto grid = c.tiled ? dist::GridSpec::tiled(1, 2, 2, 1)
                             : dist::GridSpec::row_major(2, 2);

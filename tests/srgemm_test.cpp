@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <tuple>
 
-#include "core/blocked_fw_paths.hpp"
 #include "semiring/semiring.hpp"
 #include "srgemm/srgemm.hpp"
 #include "telemetry/metrics.hpp"
@@ -191,8 +190,8 @@ void check_pred_kernel(std::uint64_t seed) {
 
     auto C_ref = C.clone();
     auto P_ref = predC.clone();
-    parfw::detail::srgemm_with_pred<S>(A.view(), B.view(), C_ref.view(),
-                                       predB.view(), P_ref.view());
+    srgemm::multiply_with_pred_reference<S>(A.view(), B.view(), C_ref.view(),
+                                            predB.view(), P_ref.view());
     auto C_got = C.clone();
     auto P_got = predC.clone();
     srgemm::multiply_with_pred<S>(A.view(), B.view(), C_got.view(),
