@@ -11,7 +11,8 @@
 #   scripts/check.sh --monitor [build-dir]
 #
 # 1. Configure + build (Release, all warnings).
-# 2. Run the full ctest suite.
+# 2. Run the full ctest suite, then bench_engines and
+#    bench_functional_dist, which fail on any output mismatch.
 # 3. Run a ~2 s SRGEMM micro-bench smoke so kernel-dispatch regressions
 #    (e.g. SIMD silently falling back to scalar) show up as a number, not
 #    just as green tests.
@@ -470,6 +471,12 @@ cmake -B "$build_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Release
 cmake --build "$build_dir" -j"$(nproc)"
 
 ctest --test-dir "$build_dir" --output-on-failure -j"$(nproc)"
+
+# Both benches cross-validate every engine's output and exit 1 on any
+# mismatch; each takes well under a second.
+echo "== engine + functional distributed bench smokes =="
+"$build_dir/bench/bench_engines"
+"$build_dir/bench/bench_functional_dist"
 
 echo "== SRGEMM bench smoke (scalar tiled vs SIMD, n=512) =="
 # Unsuffixed min_time: the "0.2s" form is rejected by google-benchmark

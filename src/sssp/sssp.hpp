@@ -1,6 +1,7 @@
-// Single-source shortest path algorithms and Johnson's APSP — the
-// related-work comparators from paper §6. They double as independent
-// test oracles for the Floyd-Warshall implementations.
+// Independent oracles for the Floyd-Warshall implementations: Dijkstra
+// (non-negative weights; perfbench checks every solve against it),
+// Bellman-Ford and Johnson's APSP (negative weights). Johnson is also
+// paper §6's sparse-graph comparator in bench_engines.
 #pragma once
 
 #include <limits>
@@ -22,18 +23,10 @@ struct SsspResult {
 /// weights (checked).
 SsspResult dijkstra(const Graph& g, vertex_t source);
 
-/// Dijkstra with a decrease-key pairing heap — the Fibonacci-class-heap
-/// variant Johnson's complexity bound assumes (§6).
-SsspResult dijkstra_decrease_key(const Graph& g, vertex_t source);
-
 /// Bellman-Ford. Handles negative edges; sets *negative_cycle when a
 /// negative cycle is reachable from the source (optional out-param).
 SsspResult bellman_ford(const Graph& g, vertex_t source,
                         bool* negative_cycle = nullptr);
-
-/// Δ-stepping (Meyer & Sanders): bucketed relaxation, light/heavy edge
-/// split. delta <= 0 picks delta = max_weight / avg_degree heuristically.
-SsspResult delta_stepping(const Graph& g, vertex_t source, double delta = 0.0);
 
 /// Johnson's APSP: Bellman-Ford reweighting + n Dijkstra runs.
 /// O(nm + n² log n); the sparse-graph comparator (paper §6). Throws on

@@ -1,5 +1,10 @@
-// CLI parser tests.
+// CLI parser tests, plus the apsp tool's own argument checks run through
+// the real binary.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+
+#include <cstdio>
+#include <string>
 
 #include "util/check.hpp"
 #include "util/cli.hpp"
@@ -101,6 +106,38 @@ TEST(Cli, WellFormedNumbersStillParse) {
   const auto a = parse({"--n", "-12", "--p", "1e-3"}, {"n", "p"});
   EXPECT_EQ(a.get_int("n", 0), -12);
   EXPECT_DOUBLE_EQ(a.get_double("p", 0), 1e-3);
+}
+
+/// Runs the apsp binary with `args`; returns its exit code and leaves its
+/// stdout and stderr, interleaved, in *out.
+int run_apsp(const std::string& args, std::string* out) {
+  const std::string cmd =
+      std::string("'") + PARFW_APSP_BIN + "' " + args + " 2>&1";
+  FILE* p = popen(cmd.c_str(), "r");
+  if (p == nullptr) return -1;
+  out->clear();
+  char buf[256];
+  while (std::fgets(buf, sizeof buf, p) != nullptr) *out += buf;
+  const int status = pclose(p);
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+TEST(Cli, ApspRejectsComponentsWithDistBeforeSolving) {
+  // component_apsp solves each component with the single-node engines, so
+  // the tool must refuse dist up front with a usage error, not mid-solve.
+  std::string out;
+  EXPECT_EQ(run_apsp("--gen er --n 256 --p 0.002 --seed 3 --components "
+                     "--algorithm dist --dist 2x2 --block 16",
+                     &out),
+            2);
+  EXPECT_NE(out.find("--components is single-node only"), std::string::npos)
+      << out;
+  EXPECT_EQ(out.find("solved"), std::string::npos) << out;
+  EXPECT_EQ(run_apsp("--gen er --n 256 --p 0.002 --seed 3 --components "
+                     "--algorithm blocked --block 16 --query 0,1",
+                     &out),
+            0)
+      << out;
 }
 
 }  // namespace

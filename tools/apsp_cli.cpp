@@ -60,7 +60,8 @@ void print_usage() {
       "  --paths             track predecessors (enables path queries);\n"
       "                      composes with every algorithm, including dist\n"
       "                      (any variant or auto) and checkpoint/restart\n"
-      "  --components        solve per connected component\n"
+      "  --components        solve per connected component (single-node\n"
+      "                      only: not with --algorithm dist)\n"
       "  --query S,T         answer dist (and path) for the pair; repeatable\n"
       "                      — all pairs go through one batched query\n"
       "  --output FILE       write the full distance matrix\n"
@@ -232,6 +233,13 @@ int run(const Graph& g, const CliArgs& args) {
     opt.algorithm = ApspAlgorithm::kDistributed;
   else {
     std::fprintf(stderr, "unknown --algorithm '%s'\n", alg.c_str());
+    return 2;
+  }
+  if (args.get_bool("components") &&
+      opt.algorithm == ApspAlgorithm::kDistributed) {
+    std::fprintf(stderr,
+                 "--components is single-node only (seq|blocked|parallel), "
+                 "not --algorithm dist\n");
     return 2;
   }
   opt.block_size = static_cast<std::size_t>(args.get_int("block", 64));
