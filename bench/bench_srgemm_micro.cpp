@@ -1,12 +1,12 @@
 // SRGEMM micro-benchmark (paper §2.6 / §4.1 claim: the SRGEMM kernel
 // reaches 6.8 TF/s on a V100, ~87% of the no-FMA peak).
 //
-// Here the kernel is the CPU substitute, so the comparable claim is each
-// rung of the kernel hierarchy's fraction of what this host can do:
-//   naive → tiled (scalar) → packed (scalar) → SIMD (explicit vectors)
-// with the SIMD rung dispatched through srgemm::Config (DESIGN.md §4.1a).
-// "Auto" is what every caller gets by default. The paper-scale V100
-// number is reproduced by the performance model in the figure benches.
+// Here the kernel is the CPU substitute, so the comparable claim is the
+// one value kernel (packed SIMD, DESIGN.md §4.1a) against the naive
+// multiply_reference oracle on this host. The Simd rows run the
+// cache-derived Config::tuned() tiles; "Auto" is the default Config{}
+// every engine passes. The paper-scale V100 number is reproduced by the
+// performance model in the figure benches.
 //
 // Baseline numbers live in BENCH_srgemm.json (regenerate with
 //   bench_srgemm_micro --benchmark_out=BENCH_srgemm.json
@@ -31,11 +31,13 @@ parfw::Matrix<float> make(std::size_t r, std::size_t c, std::uint64_t seed) {
   return m;
 }
 
-void run_square(benchmark::State& state, const parfw::srgemm::Config& cfg) {
+/// Times `product(A, B, C)` on n x n operands, n = range(0).
+template <typename Product>
+void run_square(benchmark::State& state, Product&& product) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   auto A = make(n, n, 1), B = make(n, n, 2), C = make(n, n, 3);
   for (auto _ : state) {
-    parfw::srgemm::multiply<S>(A.view(), B.view(), C.view(), cfg);
+    product(A.view(), B.view(), C.view());
     benchmark::DoNotOptimize(C.data());
   }
   state.counters["GFLOP/s"] = benchmark::Counter(
@@ -44,36 +46,22 @@ void run_square(benchmark::State& state, const parfw::srgemm::Config& cfg) {
       benchmark::Counter::kIsRate);
 }
 
-parfw::srgemm::Config with_kernel(parfw::srgemm::Kernel k) {
-  parfw::srgemm::Config cfg = parfw::srgemm::Config::tuned();
-  cfg.kernel = k;
-  return cfg;
+/// multiply() under `cfg`, as a run_square product.
+auto multiply_with(const parfw::srgemm::Config& cfg) {
+  return [cfg](auto A, auto B, auto C) {
+    parfw::srgemm::multiply<S>(A, B, C, cfg);
+  };
 }
 
 void BM_SrgemmNaive(benchmark::State& state) {
-  run_square(state, with_kernel(parfw::srgemm::Kernel::kNaive));
+  run_square(state, [](auto A, auto B, auto C) {
+    parfw::srgemm::multiply_reference<S>(A, B, C);
+  });
 }
 BENCHMARK(BM_SrgemmNaive)->Arg(128)->Arg(256)->Unit(benchmark::kMillisecond);
 
-void BM_SrgemmTiledScalar(benchmark::State& state) {
-  run_square(state, with_kernel(parfw::srgemm::Kernel::kTiled));
-}
-BENCHMARK(BM_SrgemmTiledScalar)
-    ->Arg(128)
-    ->Arg(256)
-    ->Arg(512)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_SrgemmPackedScalar(benchmark::State& state) {
-  run_square(state, with_kernel(parfw::srgemm::Kernel::kPacked));
-}
-BENCHMARK(BM_SrgemmPackedScalar)
-    ->Arg(256)
-    ->Arg(512)
-    ->Unit(benchmark::kMillisecond);
-
 void BM_SrgemmSimd(benchmark::State& state) {
-  run_square(state, with_kernel(parfw::srgemm::Kernel::kSimd));
+  run_square(state, multiply_with(parfw::srgemm::Config::tuned()));
 }
 BENCHMARK(BM_SrgemmSimd)
     ->Arg(128)
@@ -82,9 +70,9 @@ BENCHMARK(BM_SrgemmSimd)
     ->Arg(1024)
     ->Unit(benchmark::kMillisecond);
 
-/// What a caller with a default Config{} gets (kAuto dispatch).
+/// What a caller with a default Config{} gets.
 void BM_SrgemmAuto(benchmark::State& state) {
-  run_square(state, parfw::srgemm::Config{});
+  run_square(state, multiply_with(parfw::srgemm::Config{}));
 }
 BENCHMARK(BM_SrgemmAuto)->Arg(512)->Unit(benchmark::kMillisecond);
 
@@ -122,17 +110,8 @@ void run_panel(benchmark::State& state, const parfw::srgemm::Config& cfg) {
       benchmark::Counter::kIsRate);
 }
 
-void BM_SrgemmPanelShapeScalar(benchmark::State& state) {
-  run_panel(state, with_kernel(parfw::srgemm::Kernel::kTiled));
-}
-BENCHMARK(BM_SrgemmPanelShapeScalar)
-    ->Arg(64)
-    ->Arg(128)
-    ->Arg(256)
-    ->Unit(benchmark::kMillisecond);
-
 void BM_SrgemmPanelShapeSimd(benchmark::State& state) {
-  run_panel(state, with_kernel(parfw::srgemm::Kernel::kSimd));
+  run_panel(state, parfw::srgemm::Config::tuned());
 }
 BENCHMARK(BM_SrgemmPanelShapeSimd)
     ->Arg(64)
@@ -143,7 +122,7 @@ BENCHMARK(BM_SrgemmPanelShapeSimd)
 }  // namespace
 
 // PARFW_METRICS=json|prom|table dumps the ambient kernel-dispatch series
-// (calls, flops, GF/s per kernel×micro-shape) after the run.
+// (calls, flops, GF/s per kernel label) after the run.
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

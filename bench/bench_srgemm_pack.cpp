@@ -6,12 +6,11 @@
 // copies for dense streaming in the O(mnk) loop — the GotoBLAS recipe the
 // paper's CUTLASS kernel applies on the GPU side via shared-memory tiles.
 //
-// Three rungs are measured on strided panels: the scalar kernels
-// (unpacked vs packed — note the packed kernel now packs each A tile once
-// per (i0,k0), not once per column panel), the SIMD kernel, and the
-// *persistent* prepacked path: one panel snapshot feeding all four
-// MinPlusOuter quadrants of a blocked-FW round, the way blocked_fw and
-// parallel_fw now run (BM_FwRound*).
+// Two rungs are measured on strided panels: the packing SIMD kernel
+// (multiply, which packs each A tile once per (i0,k0) and the B row panel
+// once per k0), and the *persistent* prepacked path: one panel snapshot
+// feeding all four MinPlusOuter quadrants of a blocked-FW round, the way
+// blocked_fw and parallel_fw now run (BM_FwRound*).
 #include <benchmark/benchmark.h>
 
 #include "graph/graph.hpp"
@@ -38,12 +37,11 @@ struct StridedOperands {
   }
 };
 
-void run_panel(benchmark::State& state, parfw::srgemm::Kernel kernel) {
+void BM_PanelShapeSimd(benchmark::State& state) {
   const std::size_t m = 1024, n = 1024,
                     k = static_cast<std::size_t>(state.range(0));
   StridedOperands ops(m, n, k);
-  auto cfg = parfw::srgemm::Config::tuned();
-  cfg.kernel = kernel;
+  const auto cfg = parfw::srgemm::Config::tuned();
   for (auto _ : state) {
     parfw::srgemm::multiply<S>(ops.a, ops.b, ops.c, cfg);
     benchmark::DoNotOptimize(ops.c.data());
@@ -51,20 +49,6 @@ void run_panel(benchmark::State& state, parfw::srgemm::Kernel kernel) {
   state.counters["GFLOP/s"] = benchmark::Counter(
       parfw::srgemm::flops(m, n, k) * static_cast<double>(state.iterations()) / 1e9,
       benchmark::Counter::kIsRate);
-}
-
-void BM_PanelShapeUnpacked(benchmark::State& state) {
-  run_panel(state, parfw::srgemm::Kernel::kTiled);
-}
-BENCHMARK(BM_PanelShapeUnpacked)->Arg(64)->Arg(256)->Unit(benchmark::kMillisecond);
-
-void BM_PanelShapePacked(benchmark::State& state) {
-  run_panel(state, parfw::srgemm::Kernel::kPacked);
-}
-BENCHMARK(BM_PanelShapePacked)->Arg(64)->Arg(256)->Unit(benchmark::kMillisecond);
-
-void BM_PanelShapeSimd(benchmark::State& state) {
-  run_panel(state, parfw::srgemm::Kernel::kSimd);
 }
 BENCHMARK(BM_PanelShapeSimd)->Arg(64)->Arg(256)->Unit(benchmark::kMillisecond);
 

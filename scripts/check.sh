@@ -13,15 +13,17 @@
 # 1. Configure + build (Release, all warnings).
 # 2. Run the full ctest suite, then bench_engines and
 #    bench_functional_dist, which fail on any output mismatch.
-# 3. Run a ~2 s SRGEMM micro-bench smoke so kernel-dispatch regressions
-#    (e.g. SIMD silently falling back to scalar) show up as a number, not
-#    just as green tests.
+# 3. Run a ~2 s SRGEMM micro-bench smoke: the one value kernel next to
+#    the naive oracle, so a kernel-rate regression (a fragment that no
+#    longer vectorises, a lost pack) shows up as a number, not just as
+#    green tests.
 #
 # --san builds a separate instrumented tree (-DPARFW_SAN=<san>) and runs
 # the concurrency-heavy suites under it — mpisim ranks and devsim streams
 # are real OS threads, so `--san thread` is the data-race gate for the
 # runtime, the trace sinks, the ooGSrGemm host/stream handoff and the
-# pooled blocked-FW engine (test_core's BlockedFw.*, Apsp.* and Paths.*).
+# pooled blocked-FW engine (test_core's BlockedFw.*, Apsp.* and Paths.*)
+# and the SRGEMM pooled row split (test_srgemm).
 #
 # --faults is the resilience gate: the fault-injection matrix and the
 # crash-restart suites under AddressSanitizer, so recovery paths
@@ -450,7 +452,7 @@ if [[ -n "$san" ]]; then
     -DPARFW_SAN="$san" -DPARFW_BUILD_BENCH=OFF -DPARFW_BUILD_EXAMPLES=OFF
   cmake --build "$build_dir" -j"$(nproc)" \
     --target test_mpisim_stress test_mpisim test_sched test_telemetry \
-    test_offload test_devsim test_core
+    test_offload test_devsim test_core test_srgemm
   "$build_dir/tests/test_mpisim_stress"
   "$build_dir/tests/test_mpisim"
   "$build_dir/tests/test_sched"
@@ -461,6 +463,9 @@ if [[ -n "$san" ]]; then
   # whose products split C's rows across a 4-thread pool, for values and
   # for paths.
   "$build_dir/tests/test_core" --gtest_filter='BlockedFw.*:Apsp.*:Paths.*'
+  # The value kernel's pooled row split. This tree is built without
+  # -march=native, so it also runs the 16-register-ISA 4x2 fragment.
+  "$build_dir/tests/test_srgemm"
   echo "check.sh --san $san: OK"
   exit 0
 fi
@@ -478,11 +483,11 @@ echo "== engine + functional distributed bench smokes =="
 "$build_dir/bench/bench_engines"
 "$build_dir/bench/bench_functional_dist"
 
-echo "== SRGEMM bench smoke (scalar tiled vs SIMD, n=512) =="
+echo "== SRGEMM bench smoke (naive oracle n=256 vs SIMD n=512) =="
 # Unsuffixed min_time: the "0.2s" form is rejected by google-benchmark
 # < 1.8 (deprecation warning on newer versions, which still accept it).
 "$build_dir/bench/bench_srgemm_micro" \
-  --benchmark_filter='BM_Srgemm(TiledScalar|Simd)/512$' \
+  --benchmark_filter='BM_Srgemm(Naive/256|Simd/512)$' \
   --benchmark_min_time=0.2
 
 echo "check.sh: OK"

@@ -128,7 +128,7 @@ struct PlusTimes {
 // micro-kernels (the CPU analogue of the paper's per-semiring CUTLASS
 // operator specializations in cuASR). A semiring is SIMD-capable when both
 // operators have a branch-free vector form; the primary template says "no"
-// so exotic semirings silently fall back to the scalar kernels.
+// so exotic semirings fall back to the naive kernel.
 //
 // The ops take and return simd::Vec<value_type, W> for any width W, so one
 // micro-kernel template serves every vector ISA (and the scalar fallback).

@@ -9,12 +9,12 @@
 //
 // The paper's kernel is a CUTLASS-derived CUDA kernel (6.8 TF/s on V100);
 // this is its CPU substitute with the same blocked structure: an L2-sized
-// macro tile, a k-panel loop, and a register-blocked micro-kernel. The
-// kernel hierarchy (DESIGN.md §4.1a) is
-//     naive → tiled (scalar) → packed (scalar) → SIMD (packed) → prepacked
-// selected at runtime by Config::kernel; kAuto resolves to the explicit
-// SIMD kernel whenever the semiring has simd_ops (MinPlus/MaxMin/BoolOr/
-// PlusTimes) and falls back to the scalar tiled kernel otherwise. The
+// macro tile, a k-panel loop, and a register-blocked micro-kernel. There is
+// one value kernel (DESIGN.md §4.1a): the packed SIMD macro-kernel, whose
+// register fragment is fixed by the vector ISA. multiply() packs its
+// operands; multiply_prepacked() streams caller-owned panels in place. A
+// semiring without simd_ops (every in-tree one has them) falls back to the
+// naive triple loop, which is also the multiply_reference oracle. The
 // multi-threaded driver partitions C by row panels across a thread pool,
 // mirroring how a GPU partitions C across thread blocks.
 #pragma once
@@ -38,56 +38,15 @@
 
 namespace parfw::srgemm {
 
-/// Which kernel body services a multiply() call.
-enum class Kernel {
-  kAuto,    ///< SIMD if the semiring has simd_ops, else scalar tiled
-  kNaive,   ///< triple loop (the oracle)
-  kTiled,   ///< scalar register-blocked kernel on the raw views
-  kPacked,  ///< scalar kernel + GotoBLAS operand packing
-  kSimd,    ///< explicit-SIMD micro-kernel + operand packing
-};
-
-inline const char* kernel_name(Kernel k) {
-  switch (k) {
-    case Kernel::kAuto: return "auto";
-    case Kernel::kNaive: return "naive";
-    case Kernel::kTiled: return "tiled";
-    case Kernel::kPacked: return "packed";
-    case Kernel::kSimd: return "simd";
-  }
-  return "?";
-}
-
-/// Register-fragment shape of the SIMD micro-kernel: MR rows x NV native
-/// vectors of C accumulators (NR = NV * lanes columns).
-enum class MicroShape {
-  kAuto,  ///< pick from the vector ISA width
-  k4x4,   ///< 4 rows x 4 vectors — fewest B reloads, 21 live registers
-  k8x2,   ///< 8 rows x 2 vectors — deepest broadcast reuse
-  k4x2,   ///< 4 rows x 2 vectors — fits 16-register ISAs (AVX2/SSE)
-};
-
-inline const char* micro_name(MicroShape m) {
-  switch (m) {
-    case MicroShape::kAuto: return "auto";
-    case MicroShape::k4x4: return "4x4";
-    case MicroShape::k8x2: return "8x2";
-    case MicroShape::k4x2: return "4x2";
-  }
-  return "?";
-}
-
-/// Kernel selection and tiling parameters. Defaults are tuned for a
-/// ~1 MiB L2: 64x256 C macro-tiles with 256-deep k panels. Config::tuned()
-/// derives tile sizes from the actual cache geometry instead. The PARFW_*
-/// environment pins (see README) are applied inside the multiply driver,
-/// so they take effect for every Config, tuned or default-constructed.
+/// Tiling parameters. Defaults are tuned for a ~1 MiB L2: 64x256 C
+/// macro-tiles with 256-deep k panels. Config::tuned() derives tile sizes
+/// from the actual cache geometry instead. The PARFW_TILE_* environment
+/// pins (see README) are applied inside the multiply driver, so they take
+/// effect for every Config, tuned or default-constructed.
 struct Config {
   std::size_t tile_m = 64;
   std::size_t tile_n = 256;
   std::size_t tile_k = 256;
-  Kernel kernel = Kernel::kAuto;
-  MicroShape micro = MicroShape::kAuto;
   /// Pool used to parallelise over C row panels; nullptr = sequential.
   ThreadPool* pool = nullptr;
 
@@ -141,42 +100,16 @@ inline Config tuned_uncached() {
   return cfg;
 }
 
-inline Kernel parse_kernel(const char* e, Kernel fallback) {
-  if (e == nullptr) return fallback;
-  const std::string v(e);
-  if (v == "naive") return Kernel::kNaive;
-  if (v == "tiled") return Kernel::kTiled;
-  if (v == "packed") return Kernel::kPacked;
-  if (v == "simd") return Kernel::kSimd;
-  if (v == "auto") return Kernel::kAuto;
-  return fallback;  // unrecognised values are ignored
-}
-
-inline MicroShape parse_micro(const char* e, MicroShape fallback) {
-  if (e == nullptr) return fallback;
-  const std::string v(e);
-  if (v == "4x4") return MicroShape::k4x4;
-  if (v == "8x2") return MicroShape::k8x2;
-  if (v == "4x2") return MicroShape::k4x2;
-  if (v == "auto") return MicroShape::kAuto;
-  return fallback;
-}
-
-/// PARFW_* environment pins, read once per process so every resolution is
-/// deterministic. Applied inside multiply_impl so they reach EVERY driver
-/// (blocked FW, distributed, offload, benches) no matter which options
-/// struct the Config travelled through — not only Config::tuned() callers.
-struct EnvPins {
-  Kernel kernel = Kernel::kAuto;
-  MicroShape micro = MicroShape::kAuto;
-  std::size_t tile_m = 0, tile_n = 0, tile_k = 0;  // 0 = not pinned
-};
-
-inline const EnvPins& env_pins() {
-  static const EnvPins pins = [] {
-    EnvPins p;
-    p.kernel = parse_kernel(std::getenv("PARFW_KERNEL"), Kernel::kAuto);
-    p.micro = parse_micro(std::getenv("PARFW_MICRO"), MicroShape::kAuto);
+/// PARFW_TILE_* environment pins, read once per process so every
+/// resolution is deterministic. Applied inside multiply_impl so they reach
+/// EVERY driver (blocked FW, distributed, offload, benches) no matter which
+/// options struct the Config travelled through — not only Config::tuned()
+/// callers. A pin always wins over the caller's tile: that is what "pin"
+/// means for an ablation run.
+inline Config apply_env_pins(Config cfg) {
+  static const Config pins = [] {
+    Config p;
+    p.tile_m = p.tile_n = p.tile_k = 0;  // 0 = not pinned
     if (const char* e = std::getenv("PARFW_TILE_M"))
       p.tile_m = std::max<std::size_t>(1, std::strtoull(e, nullptr, 10));
     if (const char* e = std::getenv("PARFW_TILE_N"))
@@ -185,104 +118,43 @@ inline const EnvPins& env_pins() {
       p.tile_k = std::max<std::size_t>(1, std::strtoull(e, nullptr, 10));
     return p;
   }();
-  return pins;
-}
-
-/// Fold the env pins into a caller-supplied config. Kernel/micro pins only
-/// fill fields left at kAuto (an explicit programmatic choice wins); tile
-/// pins always win — that is what "pin" means for an ablation run.
-inline Config apply_env_pins(Config cfg) {
-  const EnvPins& p = env_pins();
-  if (cfg.kernel == Kernel::kAuto) cfg.kernel = p.kernel;
-  if (cfg.micro == MicroShape::kAuto) cfg.micro = p.micro;
-  if (p.tile_m != 0) cfg.tile_m = p.tile_m;
-  if (p.tile_n != 0) cfg.tile_n = p.tile_n;
-  if (p.tile_k != 0) cfg.tile_k = p.tile_k;
+  if (pins.tile_m != 0) cfg.tile_m = pins.tile_m;
+  if (pins.tile_n != 0) cfg.tile_n = pins.tile_n;
+  if (pins.tile_k != 0) cfg.tile_k = pins.tile_k;
   return cfg;
 }
 
-/// kAuto → concrete kernel for semiring S on this build's ISA. The SIMD
-/// kernel is only picked when the semiring has lane-wise operator forms;
-/// with no vector ISA the Vec fallback is plain scalar arrays, so prefer
-/// the tuned scalar kernel there.
-template <typename S>
-inline Kernel resolve_kernel(Kernel k) {
-  if (k == Kernel::kAuto) {
-    if (simd_ops<S>::available && simd::kNativeBytes > 0) return Kernel::kSimd;
-    return Kernel::kTiled;
+/// The one row split of C across a pool: `tasks` ranges of `grain` rows
+/// (the last clipped, possibly empty) run body(r0, r1) as parallel_for
+/// items. Each range owns disjoint rows of C, so the body needs no
+/// synchronisation. Runs inline as one range without a multi-worker pool
+/// or with fewer than two tasks.
+template <typename Body>
+inline void split_rows(ThreadPool* pool, std::size_t rows, std::size_t tasks,
+                       std::size_t grain, Body&& body) {
+  if (pool == nullptr || pool->size() < 2 || tasks < 2) {
+    body(std::size_t{0}, rows);
+    return;
   }
-  if (k == Kernel::kSimd && !simd_ops<S>::available) return Kernel::kPacked;
-  return k;
+  pool->parallel_for(tasks, [&](std::size_t p) {
+    const std::size_t r0 = std::min(rows, p * grain);
+    body(r0, std::min(rows, r0 + grain));
+  });
 }
 
-inline MicroShape resolve_micro(MicroShape m) {
-  if (m != MicroShape::kAuto) return m;
-  // 32-register ISAs take the wide fragments; 16-register ISAs the narrow.
-  return simd::kNativeBytes >= 64 ? MicroShape::k4x4 : MicroShape::k4x2;
-}
-
-/// Stamp out the SIMD macro-kernel for the resolved fragment shape.
-template <typename S>
-inline void run_simd(MatrixView<const typename S::value_type> A,
-                     MatrixView<const typename S::value_type> B,
-                     MatrixView<typename S::value_type> C, const Config& cfg,
-                     bool pack) {
-  if constexpr (simd_ops<S>::available) {
-    switch (resolve_micro(cfg.micro)) {
-      case MicroShape::k8x2:
-        tiled_kernel_simd<S, 8, 2>(A, B, C, cfg.tile_m, cfg.tile_n,
-                                   cfg.tile_k, pack);
-        break;
-      case MicroShape::k4x2:
-        tiled_kernel_simd<S, 4, 2>(A, B, C, cfg.tile_m, cfg.tile_n,
-                                   cfg.tile_k, pack);
-        break;
-      case MicroShape::k4x4:
-      default:
-        tiled_kernel_simd<S, 4, 4>(A, B, C, cfg.tile_m, cfg.tile_n,
-                                   cfg.tile_k, pack);
-        break;
-    }
-  } else {
-    (void)A; (void)B; (void)C; (void)cfg; (void)pack;
-    PARFW_CHECK_MSG(false, "SIMD kernel requested for a semiring without "
-                           "simd_ops");
-  }
-}
-
-/// Kernel body on one (possibly row-partitioned) slice of the product.
-/// `prepacked` suppresses operand packing — the operands are promised to
-/// be panel-resident already.
-template <typename S>
-inline void run_slice(MatrixView<const typename S::value_type> A,
-                      MatrixView<const typename S::value_type> B,
-                      MatrixView<typename S::value_type> C, const Config& cfg,
-                      Kernel kernel, bool prepacked) {
-  switch (kernel) {
-    case Kernel::kNaive:
-      naive_kernel<S>(A, B, C);
-      break;
-    case Kernel::kPacked:
-      tiled_kernel_packed<S>(A, B, C, cfg.tile_m, cfg.tile_n, cfg.tile_k);
-      break;
-    case Kernel::kSimd:
-      run_simd<S>(A, B, C, cfg, /*pack=*/!prepacked);
-      break;
-    case Kernel::kTiled:
-    case Kernel::kAuto:
-    default:
-      tiled_kernel<S>(A, B, C, cfg.tile_m, cfg.tile_n, cfg.tile_k);
-      break;
-  }
+/// Row panels of a product: tile_m rows each, split once there are two.
+inline std::size_t row_panels(const Config& cfg, std::size_t rows) {
+  return rows >= 2 * cfg.tile_m ? (rows + cfg.tile_m - 1) / cfg.tile_m : 1;
 }
 
 /// Runs one dispatch and lands it in the ambient dispatch-level metrics
 /// (PARFW_METRICS gate): one set of series per label set in the global
-/// registry — the resolved {kernel, micro} pair for multiply(), kernel=pred
-/// for multiply_with_pred. Recording costs two atomic adds + two histogram
-/// observes per call — measured at the dispatch granularity, not per tile,
-/// so the kernels themselves stay untouched. `packs` marks a call whose
-/// operands stream through the pack buffers.
+/// registry — kernel=simd (or kernel=naive for a semiring without
+/// simd_ops) for multiply(), kernel=pred for multiply_with_pred. Recording
+/// costs two atomic adds + two histogram observes per call — measured at
+/// the dispatch granularity, not per tile, so the kernels themselves stay
+/// untouched. `packs` marks a call whose operands stream through the pack
+/// buffers.
 template <typename S, typename Dispatch>
 inline void record_dispatch_metrics(const std::string& labels, std::size_t m,
                                     std::size_t n, std::size_t k, bool packs,
@@ -308,40 +180,42 @@ inline void record_dispatch_metrics(const std::string& labels, std::size_t m,
     reg.histogram("srgemm.gflops", labels).observe(fl / seconds / 1e9);
 }
 
+/// The value kernel on one row slice of the product: the SIMD macro-kernel
+/// when the semiring has lane-wise forms, packing its operands unless the
+/// caller promises panel-resident ones; the naive triple loop otherwise.
+template <typename S>
+inline void run_slice(MatrixView<const typename S::value_type> A,
+                      MatrixView<const typename S::value_type> B,
+                      MatrixView<typename S::value_type> C, const Config& cfg,
+                      bool prepacked) {
+  if constexpr (simd_ops<S>::available)
+    tiled_kernel_simd<S, kMicroRows, kMicroVecs>(
+        A, B, C, cfg.tile_m, cfg.tile_n, cfg.tile_k, /*pack=*/!prepacked);
+  else
+    naive_kernel<S>(A, B, C);
+}
+
 template <typename S>
 inline void multiply_impl(MatrixView<const typename S::value_type> A,
                           MatrixView<const typename S::value_type> B,
                           MatrixView<typename S::value_type> C,
                           const Config& caller_cfg, bool prepacked) {
   const Config cfg = apply_env_pins(caller_cfg);
-  const Kernel kernel = resolve_kernel<S>(cfg.kernel);
   const std::size_t m = C.rows();
   const auto dispatch = [&] {
-    if (cfg.pool != nullptr && cfg.pool->size() > 1 && m >= 2 * cfg.tile_m) {
-      // Row-panel parallelism: each worker owns disjoint rows of C, so no
-      // synchronisation is needed inside the kernel.
-      const std::size_t panels = (m + cfg.tile_m - 1) / cfg.tile_m;
-      cfg.pool->parallel_for(panels, [&](std::size_t p) {
-        const std::size_t r0 = p * cfg.tile_m;
-        const std::size_t nr = std::min(cfg.tile_m, m - r0);
-        run_slice<S>(A.sub(r0, 0, nr, A.cols()), B,
-                     C.sub(r0, 0, nr, C.cols()), cfg, kernel, prepacked);
-      });
-    } else {
-      run_slice<S>(A, B, C, cfg, kernel, prepacked);
-    }
+    split_rows(cfg.pool, m, row_panels(cfg, m), cfg.tile_m,
+               [&](std::size_t r0, std::size_t r1) {
+                 run_slice<S>(A.sub(r0, 0, r1 - r0, A.cols()), B,
+                              C.sub(r0, 0, r1 - r0, C.cols()), cfg, prepacked);
+               });
   };
   if (!telemetry::enabled()) {
     dispatch();
     return;
   }
-  std::string labels = std::string("kernel=") + kernel_name(kernel);
-  if (kernel == Kernel::kSimd)
-    labels += std::string(",micro=") + micro_name(resolve_micro(cfg.micro));
-  record_dispatch_metrics<S>(
-      labels, m, C.cols(), A.cols(),
-      !prepacked && (kernel == Kernel::kPacked || kernel == Kernel::kSimd),
-      dispatch);
+  constexpr bool simd = simd_ops<S>::available;
+  record_dispatch_metrics<S>(simd ? "kernel=simd" : "kernel=naive", m,
+                             C.cols(), A.cols(), simd && !prepacked, dispatch);
 }
 
 }  // namespace detail
@@ -388,8 +262,8 @@ void multiply_prepacked(MatrixView<const typename S::value_type> A,
   detail::multiply_impl<S>(A, B, C, cfg, /*prepacked=*/true);
 }
 
-/// Reference implementation (naive triple loop) — the oracle the tiled
-/// kernel is validated against, and the fallback for exotic semirings.
+/// Reference implementation (naive triple loop) — the oracle the value
+/// kernel is validated against.
 template <typename S>
 void multiply_reference(MatrixView<const typename S::value_type> A,
                         MatrixView<const typename S::value_type> B,
@@ -463,17 +337,12 @@ void multiply_with_pred(MatrixView<const typename S::value_type> A,
   const std::size_t m = C.rows();
   const bool rows_independent = B.data() != C.data();
   const auto dispatch = [&] {
-    if (rows_independent && cfg.pool != nullptr && cfg.pool->size() > 1 &&
-        m >= 2 * cfg.tile_m) {
-      const std::size_t panels = (m + cfg.tile_m - 1) / cfg.tile_m;
-      cfg.pool->parallel_for(panels, [&](std::size_t p) {
-        const std::size_t lo = p * cfg.tile_m;
-        detail::pred_sweep_rows<S>(A, B, C, predB, predC, lo,
-                                   std::min(m, lo + cfg.tile_m));
-      });
-    } else {
-      detail::pred_sweep_rows<S>(A, B, C, predB, predC, 0, m);
-    }
+    detail::split_rows(cfg.pool, m,
+                       rows_independent ? detail::row_panels(cfg, m) : 1,
+                       cfg.tile_m, [&](std::size_t r0, std::size_t r1) {
+                         detail::pred_sweep_rows<S>(A, B, C, predB, predC, r0,
+                                                    r1);
+                       });
   };
   if (!telemetry::enabled()) {
     dispatch();
@@ -549,16 +418,11 @@ void ewise_add_with_pred(MatrixView<const typename S::value_type> X,
       }
     }
   };
-  if (pool != nullptr && pool->size() > 1 && rows >= 2 * pool->size()) {
-    const std::size_t nw = pool->size();
-    const std::size_t chunk = (rows + nw - 1) / nw;
-    pool->parallel_for(nw, [&](std::size_t w) {
-      const std::size_t r0 = w * chunk;
-      run_rows(r0, std::min(rows, r0 + chunk));
-    });
-  } else {
-    run_rows(0, rows);
-  }
+  // One chunk of rows per worker, once every worker gets two rows.
+  const std::size_t nw =
+      pool == nullptr ? 1 : std::max<std::size_t>(1, pool->size());
+  detail::split_rows(pool, rows, rows >= 2 * nw ? nw : 1, (rows + nw - 1) / nw,
+                     run_rows);
 }
 
 /// Element-wise accumulate C ← C ⊕ X (the offload engine's hostUpdate).
@@ -588,16 +452,11 @@ void ewise_add(MatrixView<const typename S::value_type> X,
       for (; j < cols; ++j) c[j] = S::add(c[j], x[j]);
     }
   };
-  if (pool != nullptr && pool->size() > 1 && rows >= 2 * pool->size()) {
-    const std::size_t nw = pool->size();
-    const std::size_t chunk = (rows + nw - 1) / nw;
-    pool->parallel_for(nw, [&](std::size_t w) {
-      const std::size_t r0 = w * chunk;
-      run_rows(r0, std::min(rows, r0 + chunk));
-    });
-  } else {
-    run_rows(0, rows);
-  }
+  // One chunk of rows per worker, once every worker gets two rows.
+  const std::size_t nw =
+      pool == nullptr ? 1 : std::max<std::size_t>(1, pool->size());
+  detail::split_rows(pool, rows, rows >= 2 * nw ? nw : 1, (rows + nw - 1) / nw,
+                     run_rows);
 }
 
 /// FLOP count convention used throughout (matches the paper): an SRGEMM of

@@ -1,18 +1,15 @@
-// Kernel bodies for SRGEMM: naive oracle, cache-tiled + register-blocked
-// kernel (scalar, packed and SIMD), and the fused predecessor-tracking
-// sweep behind multiply_with_pred.
+// Kernel bodies for SRGEMM: the naive oracle, the one value kernel (a
+// cache-tiled, packed, register-blocked SIMD macro-kernel) and the fused
+// predecessor-tracking sweep behind multiply_with_pred.
 //
-// The tiled kernel follows the canonical GotoBLAS decomposition adapted to
-// semirings: C is walked in tile_m x tile_n macro tiles; for each macro
-// tile the k dimension is consumed in tile_k panels; inside a panel a
-// 4 x 16 register micro-kernel keeps 64 accumulators live across the
-// k loop. min/+ has no FMA, matching the paper's observation that SRGEMM
-// peak is half the FMA peak (§4.1).
-// The SIMD kernels below lift the same structure onto explicit vectors
-// (util/simd.hpp + per-semiring simd_ops traits): an MR x (NV*W) register
-// fragment of C updated with one broadcast per A element and NV vector
-// ops per ⊕/⊗ — the CPU rendition of the CUTLASS warp-fragment loop the
-// paper's kernel uses.
+// The value kernel follows the canonical GotoBLAS decomposition adapted to
+// semirings: C is walked in tile_m x tile_n macro tiles; the k dimension
+// is consumed in tile_k panels; inside a panel an MR x (NV*W) fragment of
+// C stays in vector registers across the k loop (util/simd.hpp plus the
+// per-semiring simd_ops traits), updated with one broadcast per A element
+// and NV vector ops per ⊕/⊗ — the CPU rendition of the CUTLASS
+// warp-fragment loop the paper's kernel uses. min/+ has no FMA, matching
+// the paper's observation that SRGEMM peak is half the FMA peak (§4.1).
 #pragma once
 
 #include <algorithm>
@@ -41,31 +38,6 @@ void naive_kernel(MatrixView<const typename S::value_type> A,
   }
 }
 
-/// Micro-kernel: accumulate a MR x NR block of C over k in [0, kk).
-/// MR*NR accumulators stay in registers; A is walked down a column strip
-/// and B across a row strip. Plain scalar code — the compiler vectorises
-/// the NR-wide inner statements (min/add map to vminps/vaddps).
-template <typename S, std::size_t MR, std::size_t NR>
-inline void micro_kernel(const typename S::value_type* a, std::size_t lda,
-                         const typename S::value_type* b, std::size_t ldb,
-                         typename S::value_type* c, std::size_t ldc,
-                         std::size_t kk) {
-  using T = typename S::value_type;
-  T acc[MR][NR];
-  for (std::size_t i = 0; i < MR; ++i)
-    for (std::size_t j = 0; j < NR; ++j) acc[i][j] = c[i * ldc + j];
-  for (std::size_t t = 0; t < kk; ++t) {
-    const T* brow = b + t * ldb;
-    for (std::size_t i = 0; i < MR; ++i) {
-      const T av = a[i * lda + t];
-      for (std::size_t j = 0; j < NR; ++j)
-        acc[i][j] = S::add(acc[i][j], S::mul(av, brow[j]));
-    }
-  }
-  for (std::size_t i = 0; i < MR; ++i)
-    for (std::size_t j = 0; j < NR; ++j) c[i * ldc + j] = acc[i][j];
-}
-
 /// Edge handler for fringe blocks smaller than the register tile.
 template <typename S>
 inline void edge_kernel(const typename S::value_type* a, std::size_t lda,
@@ -83,75 +55,12 @@ inline void edge_kernel(const typename S::value_type* a, std::size_t lda,
   }
 }
 
-/// Register-tiled sweep of an mm x nn macro tile: scalar MR x NR
-/// micro-kernels over the interior, scalar edge kernels on the fringe.
-template <typename S, std::size_t MR, std::size_t NR>
-inline void scalar_sweep(const typename S::value_type* a, std::size_t lda,
-                         const typename S::value_type* b, std::size_t ldb,
-                         typename S::value_type* c, std::size_t ldc,
-                         std::size_t mm, std::size_t nn, std::size_t kk) {
-  std::size_t i = 0;
-  for (; i + MR <= mm; i += MR) {
-    std::size_t j = 0;
-    for (; j + NR <= nn; j += NR)
-      micro_kernel<S, MR, NR>(a + i * lda, lda, b + j, ldb, c + i * ldc + j,
-                              ldc, kk);
-    if (j < nn)
-      edge_kernel<S>(a + i * lda, lda, b + j, ldb, c + i * ldc + j, ldc, MR,
-                     nn - j, kk);
-  }
-  if (i < mm)
-    edge_kernel<S>(a + i * lda, lda, b, ldb, c + i * ldc, ldc, mm - i, nn, kk);
-}
-
-/// Packing variant: A macro-tiles and B panels are copied into contiguous
-/// scratch before the register sweep (GotoBLAS-style). Wins when the
-/// operands are strided views of a much wider matrix — the blocked-FW
-/// panel shapes — by keeping the k-loop streams inside one page each.
-///
-/// Loop order is k0 → i0 → j0: the whole kk x n row panel of B is packed
-/// once per k0 and every A macro-tile is packed exactly once per (i0, k0).
-/// (The original k0 → j0 → i0 order repacked each A tile once per column
-/// panel, i.e. n/tile_n times — measured at ~25% of runtime on panel
-/// shapes; see bench_srgemm_pack.)
-template <typename S>
-void tiled_kernel_packed(MatrixView<const typename S::value_type> A,
-                         MatrixView<const typename S::value_type> B,
-                         MatrixView<typename S::value_type> C,
-                         std::size_t tile_m, std::size_t tile_n,
-                         std::size_t tile_k) {
-  using T = typename S::value_type;
-  constexpr std::size_t MR = 4, NR = 16;
-  const std::size_t m = C.rows(), n = C.cols(), k = A.cols();
-  // B rows land at padded_ld(n), never at an aliasing 4 KiB multiple.
-  const std::size_t ldb = padded_ld<T>(n);
-  AlignedBuffer<T> a_pack(tile_m * tile_k);
-  AlignedBuffer<T> b_pack(std::min(tile_k, k) * ldb);
-
-  for (std::size_t k0 = 0; k0 < k; k0 += tile_k) {
-    const std::size_t kk = std::min(tile_k, k - k0);
-    // Pack B(k0:k0+kk, :) row-contiguous, shared by every (i0, j0).
-    for (std::size_t t = 0; t < kk; ++t)
-      std::copy_n(B.data() + (k0 + t) * B.ld(), n, b_pack.data() + t * ldb);
-    for (std::size_t i0 = 0; i0 < m; i0 += tile_m) {
-      const std::size_t mi = std::min(tile_m, m - i0);
-      // Pack A(i0:i0+mi, k0:k0+kk) contiguous (lda = kk) — once per tile.
-      for (std::size_t i = 0; i < mi; ++i)
-        std::copy_n(A.data() + (i0 + i) * A.ld() + k0, kk,
-                    a_pack.data() + i * kk);
-      for (std::size_t j0 = 0; j0 < n; j0 += tile_n) {
-        const std::size_t nj = std::min(tile_n, n - j0);
-        scalar_sweep<S, MR, NR>(a_pack.data(), kk, b_pack.data() + j0, ldb,
-                                C.data() + i0 * C.ld() + j0, C.ld(), mi, nj,
-                                kk);
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Explicit-SIMD kernels.
-// ---------------------------------------------------------------------------
+/// Register-fragment shape of the value kernel, fixed by the vector ISA:
+/// MR rows x NV native vectors of C accumulators. 32-register ISAs
+/// (64-byte vectors) hold 4x4 — 16 accumulators, 4 B vectors and a
+/// broadcast; 16-register ISAs (AVX2, SSE, NEON) hold 4x2.
+inline constexpr std::size_t kMicroRows = 4;
+inline constexpr std::size_t kMicroVecs = simd::kNativeBytes >= 64 ? 4 : 2;
 
 /// SIMD micro-kernel: an MR x (NV*W) fragment of C held in MR*NV vector
 /// accumulators across the k loop (W = native lanes for the value type).
@@ -209,9 +118,11 @@ inline void simd_sweep(const typename S::value_type* a, std::size_t lda,
     edge_kernel<S>(a + i * lda, lda, b, ldb, c + i * ldc, ldc, mm - i, nn, kk);
 }
 
-/// SIMD macro-kernel. With `pack` set, operands stream through the same
-/// k0 → i0 → j0 pack schedule as tiled_kernel_packed (B row panel packed
-/// once per k0, A tile once per (i0, k0)); without it the sweep runs
+/// SIMD macro-kernel. With `pack` set, operands are copied into contiguous
+/// scratch before the register sweep (GotoBLAS-style) in k0 → i0 → j0
+/// order: the whole kk x n row panel of B is packed once per k0, at a
+/// padded_ld stride that never aliases a 4 KiB multiple, and every A
+/// macro-tile exactly once per (i0, k0). Without it the sweep runs
 /// directly on the views — the path multiply_prepacked uses when the
 /// caller already owns contiguous panels.
 template <typename S, std::size_t MR, std::size_t NV>
@@ -257,47 +168,6 @@ void tiled_kernel_simd(MatrixView<const typename S::value_type> A,
         simd_sweep<S, MR, NV>(a_pack.data(), kk, b_pack.data() + j0, ldb,
                               C.data() + i0 * C.ld() + j0, C.ld(), mi, nj,
                               kk);
-      }
-    }
-  }
-}
-
-template <typename S>
-void tiled_kernel(MatrixView<const typename S::value_type> A,
-                  MatrixView<const typename S::value_type> B,
-                  MatrixView<typename S::value_type> C, std::size_t tile_m,
-                  std::size_t tile_n, std::size_t tile_k) {
-  using T = typename S::value_type;
-  constexpr std::size_t MR = 4, NR = 16;
-  const std::size_t m = C.rows(), n = C.cols(), k = A.cols();
-
-  for (std::size_t i0 = 0; i0 < m; i0 += tile_m) {
-    const std::size_t mi = std::min(tile_m, m - i0);
-    for (std::size_t j0 = 0; j0 < n; j0 += tile_n) {
-      const std::size_t nj = std::min(tile_n, n - j0);
-      for (std::size_t k0 = 0; k0 < k; k0 += tile_k) {
-        const std::size_t kk = std::min(tile_k, k - k0);
-        // Register-tiled sweep of the (mi x nj) macro tile.
-        std::size_t i = 0;
-        for (; i + MR <= mi; i += MR) {
-          const T* a = A.data() + (i0 + i) * A.ld() + k0;
-          std::size_t j = 0;
-          for (; j + NR <= nj; j += NR) {
-            micro_kernel<S, MR, NR>(a, A.ld(),
-                                    B.data() + k0 * B.ld() + (j0 + j), B.ld(),
-                                    C.data() + (i0 + i) * C.ld() + (j0 + j),
-                                    C.ld(), kk);
-          }
-          if (j < nj)
-            edge_kernel<S>(a, A.ld(), B.data() + k0 * B.ld() + (j0 + j),
-                           B.ld(), C.data() + (i0 + i) * C.ld() + (j0 + j),
-                           C.ld(), MR, nj - j, kk);
-        }
-        if (i < mi)
-          edge_kernel<S>(A.data() + (i0 + i) * A.ld() + k0, A.ld(),
-                         B.data() + k0 * B.ld() + j0, B.ld(),
-                         C.data() + (i0 + i) * C.ld() + j0, C.ld(), mi - i,
-                         nj, kk);
       }
     }
   }

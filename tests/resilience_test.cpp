@@ -422,7 +422,7 @@ TEST(MessageFaults, FivePercentDropRunCompletesWithinRetryBudget) {
   DenseEntryGen<float> gen(2024, 0.85, 1.0f, 90.0f, /*integral=*/true);
   const auto expected = oracle(n, gen);
 
-  sched::ChromeTraceSink trace;
+  sched::CollectTraceSink trace;
   dist::DistFwOptions opt;
   opt.variant = sched::Variant::kAsync;
   opt.block_size = b;
@@ -440,7 +440,7 @@ TEST(MessageFaults, FivePercentDropRunCompletesWithinRetryBudget) {
   EXPECT_EQ(result.restarts, 0) << "drops must be absorbed by retries";
 
   std::ostringstream os;
-  trace.write(os);
+  trace.write_chrome(os);
   EXPECT_NE(os.str().find("\"retry\""), std::string::npos)
       << "retransmissions must appear as instants in the Chrome trace";
   EXPECT_NE(os.str().find("\"drop\""), std::string::npos);

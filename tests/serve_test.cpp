@@ -637,7 +637,7 @@ TEST(QTrace, ChromeTraceRoundTrip) {
   // reassembled span trees still tile (within the µs-rounding tolerance)
   // and causal::build_graph/analyze consume them unchanged.
   Published p = publish_case(48, 8, 1, 2, /*paths=*/true);
-  sched::ChromeTraceSink sink;
+  sched::CollectTraceSink sink;
   serve::ServeOptions sopt;
   sopt.cache_budget_bytes = 4 * 8 * 8 * sizeof(std::int64_t);
   sopt.trace = &sink;
@@ -652,7 +652,7 @@ TEST(QTrace, ChromeTraceRoundTrip) {
   ASSERT_EQ(service.answer(batch).size(), batch.size());
 
   std::ostringstream os;
-  sink.write(os);
+  sink.write_chrome(os);
   const causal::LoadResult loaded = causal::load_chrome_trace(os.str());
   ASSERT_TRUE(loaded.ok) << loaded.error;
 

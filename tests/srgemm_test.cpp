@@ -1,10 +1,16 @@
-// SRGEMM kernel tests: tiled kernel vs naive oracle across shapes and
-// semirings, argmin tracking, element-wise ops, parallel driver.
+// SRGEMM kernel tests: the value kernel vs the naive oracle across shapes,
+// semirings, tilings and entry points, the naive fallback for a semiring
+// without SIMD forms, argmin tracking, element-wise ops, parallel driver.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
+#include <string>
 #include <tuple>
+#include <utility>
 
+#include "core/blocked_fw.hpp"
+#include "core/floyd_warshall.hpp"
 #include "semiring/semiring.hpp"
 #include "srgemm/srgemm.hpp"
 #include "telemetry/metrics.hpp"
@@ -113,6 +119,7 @@ TEST(Srgemm, ParallelDriverMatchesSequential) {
 }
 
 TEST(Srgemm, PackedKernelMatchesUnpacked) {
+  // multiply packs its operands; multiply_prepacked streams them in place.
   using S = MinPlus<float>;
   for (auto [m, n, k] : {std::tuple{65, 130, 70}, std::tuple{4, 16, 256},
                          std::tuple{129, 257, 300}}) {
@@ -120,10 +127,8 @@ TEST(Srgemm, PackedKernelMatchesUnpacked) {
     auto B = random_matrix<float>(k, n, 72, 0.05);
     auto C0 = random_matrix<float>(m, n, 73);
     auto C1 = C0.clone();
-    srgemm::Config packed{};
-    packed.kernel = srgemm::Kernel::kPacked;
     srgemm::multiply<S>(A.view(), B.view(), C0.view());
-    srgemm::multiply<S>(A.view(), B.view(), C1.view(), packed);
+    srgemm::multiply_prepacked<S>(A.view(), B.view(), C1.view());
     EXPECT_EQ(max_abs_diff<float>(C0.view(), C1.view()), 0.0)
         << m << "x" << n << "x" << k;
   }
@@ -133,12 +138,11 @@ TEST(Srgemm, PackedKernelOnStridedViews) {
   using S = MinPlus<float>;
   auto big = random_matrix<float>(300, 300, 74);
   auto expected = big.clone();
-  srgemm::Config packed{};
-  packed.kernel = srgemm::Kernel::kPacked;
-  srgemm::multiply<S>(expected.sub(0, 0, 100, 50), expected.sub(0, 100, 50, 80),
-                      expected.sub(100, 100, 100, 80));
+  srgemm::multiply_reference<S>(expected.sub(0, 0, 100, 50),
+                                expected.sub(0, 100, 50, 80),
+                                expected.sub(100, 100, 100, 80));
   srgemm::multiply<S>(big.sub(0, 0, 100, 50), big.sub(0, 100, 50, 80),
-                      big.sub(100, 100, 100, 80), packed);
+                      big.sub(100, 100, 100, 80));
   EXPECT_EQ(max_abs_diff<float>(expected.view(), big.view()), 0.0);
 }
 
@@ -313,24 +317,45 @@ TEST(SrgemmPred, EwiseMergeEquivalentToFusedKernel) {
 }
 
 // ---------------------------------------------------------------------------
-// Kernel-variant cross-validation: every dispatchable kernel must produce a
-// bit-identical distance matrix to the naive oracle, on fringe shapes (m,
+// Value-kernel cross-validation: every configuration and entry point must
+// produce a bit-identical result to the naive oracle, on fringe shapes (m,
 // n, k not multiples of MR/NR/tile sizes) and on strided sub-views, for
-// all three vectorizable FW semirings.
+// every vectorizable FW semiring.
 // ---------------------------------------------------------------------------
 
-const srgemm::Kernel kAllKernels[] = {
-    srgemm::Kernel::kNaive, srgemm::Kernel::kTiled, srgemm::Kernel::kPacked,
-    srgemm::Kernel::kSimd};
-
-srgemm::Config variant_cfg(srgemm::Kernel k) {
-  // Small tiles so the test shapes cross several tile boundaries.
-  srgemm::Config cfg;
-  cfg.kernel = k;
-  cfg.tile_m = 16;
-  cfg.tile_n = 32;
-  cfg.tile_k = 24;
-  return cfg;
+/// Runs the product under {small tiles, Config{}, small tiles split over a
+/// 4-worker pool} x {multiply (packs), multiply_prepacked (streams in
+/// place)} and expects each result to equal `expected` exactly.
+template <typename S>
+void expect_all_variants(MatrixView<const typename S::value_type> A,
+                         MatrixView<const typename S::value_type> B,
+                         MatrixView<const typename S::value_type> C0,
+                         MatrixView<const typename S::value_type> expected,
+                         const std::string& what) {
+  using T = typename S::value_type;
+  ThreadPool pool(4);
+  srgemm::Config small;  // small tiles: the shapes cross tile boundaries
+  small.tile_m = 16;
+  small.tile_n = 32;
+  small.tile_k = 24;
+  srgemm::Config pooled = small;
+  pooled.pool = &pool;
+  const std::pair<const char*, srgemm::Config> configs[] = {
+      {"small tiles", small}, {"Config{}", srgemm::Config{}},
+      {"pooled", pooled}};
+  for (const auto& [name, cfg] : configs) {
+    for (const bool prepacked : {false, true}) {
+      Matrix<T> C(C0.rows(), C0.cols());
+      C.view().copy_from(C0);
+      if (prepacked)
+        srgemm::multiply_prepacked<S>(A, B, C.view(), cfg);
+      else
+        srgemm::multiply<S>(A, B, C.view(), cfg);
+      EXPECT_EQ(max_abs_diff<T>(expected, C.view()), 0.0)
+          << what << ", " << name
+          << (prepacked ? ", multiply_prepacked" : ", multiply");
+    }
+  }
 }
 
 template <typename S>
@@ -356,18 +381,9 @@ void check_all_kernels(std::uint64_t seed, double inf_prob) {
     fill(C0);
     auto expected = C0.clone();
     srgemm::multiply_reference<S>(A.view(), B.view(), expected.view());
-    for (srgemm::Kernel kern : kAllKernels) {
-      auto C = C0.clone();
-      srgemm::multiply<S>(A.view(), B.view(), C.view(), variant_cfg(kern));
-      EXPECT_EQ(max_abs_diff<T>(expected.view(), C.view()), 0.0)
-          << "kernel " << static_cast<int>(kern) << " shape " << m << "x" << n
-          << "x" << k;
-    }
-    auto Cp = C0.clone();
-    srgemm::multiply_prepacked<S>(A.view(), B.view(), Cp.view(),
-                                  variant_cfg(srgemm::Kernel::kSimd));
-    EXPECT_EQ(max_abs_diff<T>(expected.view(), Cp.view()), 0.0)
-        << "prepacked shape " << m << "x" << n << "x" << k;
+    expect_all_variants<S>(A.view(), B.view(), C0.view(), expected.view(),
+                           "shape " + std::to_string(m) + "x" +
+                               std::to_string(n) + "x" + std::to_string(k));
   }
 }
 
@@ -400,12 +416,8 @@ TEST(SrgemmKernels, IntegralSaturationWithNegativeWeights) {
   fill(C0);
   auto expected = C0.clone();
   srgemm::multiply_reference<S>(A.view(), B.view(), expected.view());
-  for (srgemm::Kernel kern : kAllKernels) {
-    auto C = C0.clone();
-    srgemm::multiply<S>(A.view(), B.view(), C.view(), variant_cfg(kern));
-    EXPECT_EQ(max_abs_diff<std::int32_t>(expected.view(), C.view()), 0.0)
-        << "kernel " << static_cast<int>(kern);
-  }
+  expect_all_variants<S>(A.view(), B.view(), C0.view(), expected.view(),
+                         "negative weights");
 }
 
 TEST(SrgemmKernels, AllVariantsMatchReferenceMaxMin) {
@@ -428,18 +440,14 @@ TEST(SrgemmKernels, AllVariantsMatchReferenceBoolOr) {
     fill(C0);
     auto expected = C0.clone();
     srgemm::multiply_reference<S>(A.view(), B.view(), expected.view());
-    for (srgemm::Kernel kern : kAllKernels) {
-      auto C = C0.clone();
-      srgemm::multiply<S>(A.view(), B.view(), C.view(), variant_cfg(kern));
-      EXPECT_EQ(max_abs_diff<std::uint8_t>(expected.view(), C.view()), 0.0)
-          << "kernel " << static_cast<int>(kern);
-    }
+    expect_all_variants<S>(A.view(), B.view(), C0.view(), expected.view(),
+                           "bool " + std::to_string(m));
   }
 }
 
 TEST(SrgemmKernels, AllVariantsOnStridedSubViews) {
   // Operands carved out of one backing matrix with ld >> cols — the
-  // blocked-FW panel pattern — for every kernel plus the prepacked entry.
+  // blocked-FW panel pattern.
   using S = MinPlus<float>;
   auto big = random_matrix<float>(260, 260, 105, 0.05);
   auto A = big.sub(3, 7, 60, 41);
@@ -447,22 +455,13 @@ TEST(SrgemmKernels, AllVariantsOnStridedSubViews) {
   auto C0 = random_matrix<float>(60, 83, 106);
   auto expected = C0.clone();
   srgemm::multiply_reference<S>(A, B, expected.view());
-  for (srgemm::Kernel kern : kAllKernels) {
-    auto C = C0.clone();
-    srgemm::multiply<S>(A, B, C.view(), variant_cfg(kern));
-    EXPECT_EQ(max_abs_diff<float>(expected.view(), C.view()), 0.0)
-        << "kernel " << static_cast<int>(kern);
-  }
-  auto Cp = C0.clone();
-  srgemm::multiply_prepacked<S>(A, B, Cp.view(),
-                                variant_cfg(srgemm::Kernel::kSimd));
-  EXPECT_EQ(max_abs_diff<float>(expected.view(), Cp.view()), 0.0);
+  expect_all_variants<S>(A, B, C0.view(), expected.view(), "strided");
 }
 
 TEST(SrgemmKernels, PowerOfTwoLeadingDimensions) {
   // Operands carved from backings whose row stride is a 4 KiB multiple
-  // (ld = 1024 and 2048 floats), with n off every NR multiple: the packing
-  // kernels re-stride B into a padded_ld buffer, and the prepacked entry
+  // (ld = 1024 and 2048 floats), with n off every NR multiple: multiply
+  // re-strides B into a padded_ld pack buffer, and the prepacked entry
   // streams B in place at the aliasing stride.
   using S = MinPlus<float>;
   for (std::size_t ld : {1024u, 2048u}) {
@@ -475,21 +474,8 @@ TEST(SrgemmKernels, PowerOfTwoLeadingDimensions) {
     Matrix<float> expected(m, n);
     expected.view().copy_from(C0);
     srgemm::multiply_reference<S>(A, B, expected.view());
-    for (srgemm::Kernel kern : kAllKernels) {
-      for (const srgemm::Config& cfg :
-           {variant_cfg(kern), srgemm::Config{.kernel = kern}}) {
-        Matrix<float> C(m, n);
-        C.view().copy_from(C0);
-        srgemm::multiply<S>(A, B, C.view(), cfg);
-        EXPECT_EQ(max_abs_diff<float>(expected.view(), C.view()), 0.0)
-            << "kernel " << static_cast<int>(kern) << " ld " << ld;
-        Matrix<float> Cp(m, n);
-        Cp.view().copy_from(C0);
-        srgemm::multiply_prepacked<S>(A, B, Cp.view(), cfg);
-        EXPECT_EQ(max_abs_diff<float>(expected.view(), Cp.view()), 0.0)
-            << "prepacked kernel " << static_cast<int>(kern) << " ld " << ld;
-      }
-    }
+    expect_all_variants<S>(A, B, C0, expected.view(),
+                           "ld " + std::to_string(ld));
   }
 }
 
@@ -500,12 +486,94 @@ TEST(SrgemmKernels, SimdParallelDriverMatchesSequential) {
   auto B = random_matrix<float>(90, 210, 112, 0.05);
   auto C0 = random_matrix<float>(300, 210, 113);
   auto C1 = C0.clone();
-  auto seq = variant_cfg(srgemm::Kernel::kSimd);
+  srgemm::Config seq;
+  seq.tile_m = 16;
+  seq.tile_n = 32;
+  seq.tile_k = 24;
   auto par = seq;
   par.pool = &pool;
   srgemm::multiply<S>(A.view(), B.view(), C0.view(), seq);
   srgemm::multiply<S>(A.view(), B.view(), C1.view(), par);
   EXPECT_EQ(max_abs_diff<float>(C0.view(), C1.view()), 0.0);
+}
+
+/// A tropical semiring with no simd_ops specialisation: every product on
+/// it must take the naive fallback.
+struct ScalarMinPlus {
+  using value_type = float;
+  static constexpr float zero() {
+    return std::numeric_limits<float>::infinity();
+  }
+  static constexpr float one() { return 0.0f; }
+  static constexpr float add(float x, float y) { return x < y ? x : y; }
+  static constexpr float mul(float x, float y) { return x + y; }
+  static constexpr bool less_add(float x, float y) { return x < y; }
+};
+static_assert(!simd_ops<ScalarMinPlus>::available);
+
+TEST(Srgemm, SemiringWithoutSimdOpsUsesNaiveFallback) {
+  using S = ScalarMinPlus;
+  for (auto [m, n, k] : {std::tuple{3, 5, 2}, std::tuple{65, 130, 70}}) {
+    auto A = random_matrix<float>(m, k, 131, 0.1);
+    auto B = random_matrix<float>(k, n, 132, 0.1);
+    auto C0 = random_matrix<float>(m, n, 133, 0.2);
+    auto expected = C0.clone();
+    srgemm::multiply_reference<S>(A.view(), B.view(), expected.view());
+    expect_all_variants<S>(A.view(), B.view(), C0.view(), expected.view(),
+                           "no simd_ops " + std::to_string(m));
+  }
+
+  // The dispatch says which body ran.
+  telemetry::Registry& reg = telemetry::Registry::global();
+  const telemetry::Counter& calls = reg.counter("srgemm.calls", "kernel=naive");
+  const std::uint64_t calls0 = calls.value();
+  const bool was_enabled = telemetry::enabled();
+  telemetry::set_enabled(true);
+  Matrix<float> A(4, 3, 1.0f), B(3, 5, 2.0f), C(4, 5, S::zero());
+  srgemm::multiply<S>(A.view(), B.view(), C.view());
+  telemetry::set_enabled(was_enabled);
+  EXPECT_EQ(calls.value() - calls0, 1u);
+  EXPECT_EQ(C(3, 4), 3.0f);
+
+  // The whole single-node engine runs on it, against the sequential
+  // oracle. Integral weights keep every path sum exact in float.
+  const std::size_t n = 70;
+  Matrix<float> d(n, n);
+  Rng rng(134);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < n; ++j)
+      d(i, j) = i == j                      ? 0.0f
+                : rng.next_double() < 0.85 ? S::zero()
+                                           : static_cast<float>(
+                                                 1 + rng.next_below(50));
+  auto oracle = d.clone();
+  floyd_warshall<S>(oracle.view());
+  BlockedFwOptions opt;
+  opt.block_size = 16;
+  blocked_floyd_warshall<S>(d.view(), opt);
+  EXPECT_EQ(max_abs_diff<float>(oracle.view(), d.view()), 0.0);
+}
+
+TEST(Srgemm, RecordsValueKernelDispatchUnderKernelSimd) {
+  // With ambient telemetry on, a MinPlus<float> multiply lands in the
+  // srgemm.* series labelled kernel=simd, once per call.
+  using S = MinPlus<float>;
+  const std::size_t m = 12, n = 20, k = 7;
+  auto A = random_matrix<float>(m, k, 141);
+  auto B = random_matrix<float>(k, n, 142);
+  auto C = random_matrix<float>(m, n, 143);
+  telemetry::Registry& reg = telemetry::Registry::global();
+  const telemetry::Counter& calls = reg.counter("srgemm.calls", "kernel=simd");
+  const telemetry::Counter& flops = reg.counter("srgemm.flops", "kernel=simd");
+  const bool was_enabled = telemetry::enabled();
+  const std::uint64_t calls0 = calls.value(), flops0 = flops.value();
+  telemetry::set_enabled(true);
+  srgemm::multiply<S>(A.view(), B.view(), C.view());
+  srgemm::multiply_prepacked<S>(A.view(), B.view(), C.view());
+  telemetry::set_enabled(was_enabled);
+  EXPECT_EQ(calls.value() - calls0, 2u);
+  EXPECT_EQ(flops.value() - flops0,
+            static_cast<std::uint64_t>(2 * srgemm::flops(m, n, k)));
 }
 
 TEST(SrgemmConfig, AutotuneIsDeterministic) {
@@ -515,8 +583,6 @@ TEST(SrgemmConfig, AutotuneIsDeterministic) {
   EXPECT_EQ(a.tile_m, b.tile_m);
   EXPECT_EQ(a.tile_n, b.tile_n);
   EXPECT_EQ(a.tile_k, b.tile_k);
-  EXPECT_EQ(a.kernel, b.kernel);
-  EXPECT_EQ(a.micro, b.micro);
   // Tuned tiles are sane: nonzero and bounded by the clamps in tuned().
   EXPECT_GE(a.tile_k, 32u);
   EXPECT_LE(a.tile_k, 512u);
