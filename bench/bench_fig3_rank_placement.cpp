@@ -44,7 +44,7 @@ int main() {
     for (int kr = 1; kr <= nodes; ++kr) {
       if (nodes % kr != 0) continue;
       const int kc = nodes / kr;
-      for (const auto [qr, qc] :
+      for (const auto& [qr, qc] :
            {std::pair{1, 12}, std::pair{2, 6}, std::pair{3, 4},
             std::pair{4, 3}, std::pair{6, 2}, std::pair{12, 1}}) {
         const int pr = kr * qr, pc = kc * qc;

@@ -40,44 +40,62 @@ parfw::Matrix<std::int64_t> make_pred(std::size_t r, std::size_t c) {
   return p;
 }
 
-/// Scalar reference: the oracle the fused kernel's >= 5x gate divides by.
-void BM_PredScalar(benchmark::State& state) {
+/// dist-paths' per-rank OuterUpdate shape: 1056 x 1056 x b, b = 132.
+constexpr std::size_t kOuterN = 1056, kOuterB = 132;
+
+/// Depth of a row's product: n x n x n, except the kOuterN row, which runs
+/// the OuterUpdate shape kOuterN x kOuterN x kOuterB.
+std::size_t depth_of(std::size_t n) { return n == kOuterN ? kOuterB : n; }
+
+/// Times `product(A, B, C, predB, predC)` on n x n x depth_of(n) operands.
+template <typename Product>
+void run_pred(benchmark::State& state, Product&& product) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
-  auto A = make(n, n, 1), B = make(n, n, 2), C = make(n, n, 3);
-  auto predB = make_pred(n, n);
+  const std::size_t k = depth_of(n);
+  auto A = make(n, k, 1), B = make(k, n, 2), C = make(n, n, 3);
+  auto predB = make_pred(k, n);
   parfw::Matrix<std::int64_t> predC(n, n, -1);
   for (auto _ : state) {
-    parfw::srgemm::multiply_with_pred_reference<S>(
-        A.view(), B.view(), C.view(), predB.view(), predC.view());
+    product(A.view(), B.view(), C.view(), predB.view(), predC.view());
     benchmark::DoNotOptimize(C.data());
     benchmark::DoNotOptimize(predC.data());
   }
   state.counters["GFLOP/s"] = benchmark::Counter(
-      parfw::srgemm::flops(n, n, n) * static_cast<double>(state.iterations()) /
+      parfw::srgemm::flops(n, n, k) * static_cast<double>(state.iterations()) /
           1e9,
       benchmark::Counter::kIsRate);
+}
+
+/// Scalar reference: the oracle the fused kernel's >= 5x gate divides by.
+void BM_PredScalar(benchmark::State& state) {
+  run_pred(state, [](auto A, auto B, auto C, auto predB, auto predC) {
+    parfw::srgemm::multiply_with_pred_reference<S>(A, B, C, predB, predC);
+  });
 }
 BENCHMARK(BM_PredScalar)->Arg(256)->Arg(512)->Unit(benchmark::kMillisecond);
 
-/// The production fused kernel (SIMD argmin tracking, single thread —
-/// same work division as the scalar loop so the ratio is kernel-only).
+/// The production fused kernel (the register-blocked argmin kernel, single
+/// thread — same work division as the scalar loop so the ratio is
+/// kernel-only).
 void BM_PredFused(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  auto A = make(n, n, 1), B = make(n, n, 2), C = make(n, n, 3);
-  auto predB = make_pred(n, n);
-  parfw::Matrix<std::int64_t> predC(n, n, -1);
-  for (auto _ : state) {
-    parfw::srgemm::multiply_with_pred<S>(A.view(), B.view(), C.view(),
-                                         predB.view(), predC.view());
-    benchmark::DoNotOptimize(C.data());
-    benchmark::DoNotOptimize(predC.data());
-  }
-  state.counters["GFLOP/s"] = benchmark::Counter(
-      parfw::srgemm::flops(n, n, n) * static_cast<double>(state.iterations()) /
-          1e9,
-      benchmark::Counter::kIsRate);
+  run_pred(state, [](auto A, auto B, auto C, auto predB, auto predC) {
+    parfw::srgemm::multiply_with_pred<S>(A, B, C, predB, predC);
+  });
 }
-BENCHMARK(BM_PredFused)->Arg(256)->Arg(512)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PredFused)
+    ->Arg(256)
+    ->Arg(512)
+    ->Arg(kOuterN)
+    ->Unit(benchmark::kMillisecond);
+
+/// The value kernel at the OuterUpdate shape: the denominator of the
+/// pred-vs-multiply rate gate (check.sh --paths).
+void BM_SrgemmSimd(benchmark::State& state) {
+  run_pred(state, [](auto A, auto B, auto C, auto, auto) {
+    parfw::srgemm::multiply<S>(A, B, C);
+  });
+}
+BENCHMARK(BM_SrgemmSimd)->Arg(kOuterN)->Unit(benchmark::kMillisecond);
 
 /// End-to-end distributed solve, values only — the denominator of the
 /// paths-overhead claim.

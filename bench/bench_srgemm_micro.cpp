@@ -5,8 +5,9 @@
 // one value kernel (packed SIMD, DESIGN.md §4.1a) against the naive
 // multiply_reference oracle on this host. The Simd rows run the
 // cache-derived Config::tuned() tiles; "Auto" is the default Config{}
-// every engine passes. The paper-scale V100 number is reproduced by the
-// performance model in the figure benches.
+// every engine passes; the Fringe rows run widths that are not multiples
+// of the register fragment. The paper-scale V100 number is reproduced by
+// the performance model in the figure benches.
 //
 // Baseline numbers live in BENCH_srgemm.json (regenerate with
 //   bench_srgemm_micro --benchmark_out=BENCH_srgemm.json
@@ -117,6 +118,30 @@ BENCHMARK(BM_SrgemmPanelShapeSimd)
     ->Arg(64)
     ->Arg(128)
     ->Arg(256)
+    ->Unit(benchmark::kMillisecond);
+
+/// Vector fringes: m = n, k = 132 (a dist block) on the engines' default
+/// tiles. 1040, 1056 and 1072 (n mod 64 = 16, 32, 48) end every strip in
+/// a 1- or 2-vector fragment; each must run within 15% of its 1024 and
+/// 1088 neighbours (check.sh --bench).
+void BM_SrgemmFringe(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0)), k = 132;
+  auto A = make(n, k, 1), B = make(k, n, 2), C = make(n, n, 3);
+  for (auto _ : state) {
+    parfw::srgemm::multiply<S>(A.view(), B.view(), C.view());
+    benchmark::DoNotOptimize(C.data());
+  }
+  state.counters["GFLOP/s"] = benchmark::Counter(
+      parfw::srgemm::flops(n, n, k) * static_cast<double>(state.iterations()) /
+          1e9,
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_SrgemmFringe)
+    ->Arg(1024)
+    ->Arg(1040)
+    ->Arg(1056)
+    ->Arg(1072)
+    ->Arg(1088)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

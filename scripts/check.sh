@@ -10,7 +10,7 @@
 #   scripts/check.sh --serve [build-dir]
 #   scripts/check.sh --monitor [build-dir]
 #
-# 1. Configure + build (Release, all warnings).
+# 1. Configure + build (Release, all warnings, warnings are errors).
 # 2. Run the full ctest suite, then bench_engines and
 #    bench_functional_dist, which fail on any output mismatch.
 # 3. Run a ~2 s SRGEMM micro-bench smoke: the one value kernel next to
@@ -33,8 +33,9 @@
 # --bench is the perf-regression gate: it reruns the SRGEMM micro-bench
 # and the (deterministic) Figure 7 DES sweep and diffs both against the
 # committed baselines (BENCH_srgemm.json / BENCH_dist.json) with
-# scripts/bench_compare.py, failing on a >15% throughput regression. It
-# also runs trace_dump --mode metrics on every variant, which both
+# scripts/bench_compare.py, failing on a >15% throughput regression, and
+# holds each vector-fringe row (BM_SrgemmFringe at n mod 64 = 16, 32, 48)
+# within 15% of its n = 1024 and 1088 neighbours. It also runs trace_dump --mode metrics on every variant, which both
 # asserts measured wire bytes == the DES prediction and leaves metric
 # snapshots (JSON + Prometheus) under <build>/metrics/ for CI artifacts.
 #
@@ -60,7 +61,8 @@
 # --paths is the path-tracking gate: bench_paths (argmin-SIMD kernel vs
 # the scalar oracle, plus the end-to-end paths overhead of a distributed
 # solve) diffed against BENCH_paths.json, the >= 5x fused-kernel speedup
-# acceptance enforced from the fresh JSON, and apsp --paths end-to-end
+# acceptance and the argmin kernel at >= 50% of multiply's rate at
+# 1056x1056x132, both enforced from the fresh JSON, and apsp --paths end-to-end
 # runs (distributed, and pooled single node) that must answer a path
 # query.
 #
@@ -137,6 +139,19 @@ if [[ "$bench" == 1 ]]; then
     --benchmark_out_format=json
   python3 "$repo_root/scripts/bench_compare.py" \
     "$repo_root/BENCH_srgemm.json" "$out_dir/srgemm_fresh.json"
+
+  echo "== vector fringes: n mod 64 != 0 within 15% of its neighbours =="
+  python3 - "$out_dir/srgemm_fresh.json" <<'EOF'
+import json, sys
+rows = {b["name"]: b["GFLOP/s"] for b in json.load(open(sys.argv[1]))["benchmarks"]
+        if b.get("run_type", "iteration") == "iteration"
+        and b["name"].startswith("BM_SrgemmFringe/")}
+lo, hi = rows["BM_SrgemmFringe/1024"], rows["BM_SrgemmFringe/1088"]
+for n in (1040, 1056, 1072):
+    r = rows[f"BM_SrgemmFringe/{n}"]
+    print(f"n={n}: {r:.1f} GF/s (1024: {lo:.1f}, 1088: {hi:.1f})")
+    assert r >= 0.85 * max(lo, hi), f"fringe n={n} below 85% of a neighbour"
+EOF
 
   echo "== Figure 7 DES sweep vs BENCH_dist.json =="
   PARFW_BENCH_JSON="$out_dir/dist_fresh.json" \
@@ -265,6 +280,17 @@ rows = {b["name"]: b for b in json.load(open(sys.argv[1]))["benchmarks"]
 ratio = rows["BM_PredFused/512"]["GFLOP/s"] / rows["BM_PredScalar/512"]["GFLOP/s"]
 print(f"fused/scalar argmin speedup at n=512: {ratio:.1f}x")
 assert ratio >= 5.0, f"argmin SIMD kernel below 5x scalar ({ratio:.2f}x)"
+EOF
+
+  echo "== argmin kernel vs multiply at 1056x1056x132 (>= 50%) =="
+  python3 - "$out_dir/paths_fresh.json" <<'EOF'
+import json, sys
+rows = {b["name"]: b for b in json.load(open(sys.argv[1]))["benchmarks"]
+        if b.get("run_type", "iteration") == "iteration"}
+pred = rows["BM_PredFused/1056"]["GFLOP/s"]
+value = rows["BM_SrgemmSimd/1056"]["GFLOP/s"]
+print(f"argmin {pred:.1f} GF/s, multiply {value:.1f} GF/s: {pred / value:.2f}")
+assert pred >= 0.5 * value, f"argmin kernel below 50% of multiply ({pred / value:.2f})"
 EOF
 
   echo "== apsp --paths end-to-end (distributed, path query) =="
@@ -472,7 +498,9 @@ fi
 
 build_dir="${1:-$repo_root/build}"
 
-cmake -B "$build_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Release
+# -Werror: the tier-1 tree stays warning-free.
+cmake -B "$build_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Release \
+  -DPARFW_WERROR=ON
 cmake --build "$build_dir" -j"$(nproc)"
 
 ctest --test-dir "$build_dir" --output-on-failure -j"$(nproc)"

@@ -132,6 +132,9 @@ struct PlusTimes {
 //
 // The ops take and return simd::Vec<value_type, W> for any width W, so one
 // micro-kernel template serves every vector ISA (and the scalar fallback).
+// vimproves is less_add lane-wise as a vector mask (the selects of the
+// row sweep); vimproves_bits is the same test as a lane bitmask (the
+// argmin kernel's t bookkeeping).
 // ---------------------------------------------------------------------------
 
 template <typename S>
@@ -158,6 +161,11 @@ struct simd_ops<MinPlus<T>> {
                                                  simd::Vec<T, W> best) {
     return simd::vcmp_lt(cand, best);  // less_add: x < y
   }
+  template <std::size_t W>
+  static simd::bits_t<W> vimproves_bits(simd::Vec<T, W> cand,
+                                        simd::Vec<T, W> best) {
+    return simd::vcmp_lt_bits(cand, best);
+  }
 };
 
 /// MinPlus over integral types: ⊕ = min, ⊗ = saturating add against the
@@ -181,6 +189,11 @@ struct simd_ops<MinPlus<T>> {
                                                  simd::Vec<T, W> best) {
     return simd::vcmp_lt(cand, best);
   }
+  template <std::size_t W>
+  static simd::bits_t<W> vimproves_bits(simd::Vec<T, W> cand,
+                                        simd::Vec<T, W> best) {
+    return simd::vcmp_lt_bits(cand, best);
+  }
 };
 
 /// MaxMin: ⊕ = max, ⊗ = min — both are single instructions everywhere.
@@ -199,6 +212,11 @@ struct simd_ops<MaxMin<T>> {
   static simd::Vec<simd::mask_t<T>, W> vimproves(simd::Vec<T, W> cand,
                                                  simd::Vec<T, W> best) {
     return simd::vcmp_gt(cand, best);  // less_add: x > y
+  }
+  template <std::size_t W>
+  static simd::bits_t<W> vimproves_bits(simd::Vec<T, W> cand,
+                                        simd::Vec<T, W> best) {
+    return simd::vcmp_gt_bits(cand, best);
   }
 };
 
@@ -222,6 +240,11 @@ struct simd_ops<BoolOrAnd> {
                                                  simd::Vec<T, W> best) {
     return simd::vcmp_gt(cand, best);  // 1 "improves" 0
   }
+  template <std::size_t W>
+  static simd::bits_t<W> vimproves_bits(simd::Vec<T, W> cand,
+                                        simd::Vec<T, W> best) {
+    return simd::vcmp_gt_bits(cand, best);
+  }
 };
 
 /// PlusTimes: ordinary GEMM lanes. ⊕ reassociates under vectorization, so
@@ -242,6 +265,10 @@ struct simd_ops<PlusTimes<T>> {
   static simd::Vec<simd::mask_t<T>, W> vimproves(simd::Vec<T, W>,
                                                  simd::Vec<T, W>) {
     return simd::broadcast<simd::mask_t<T>, W>(0);  // less_add: never
+  }
+  template <std::size_t W>
+  static simd::bits_t<W> vimproves_bits(simd::Vec<T, W>, simd::Vec<T, W>) {
+    return 0;
   }
 };
 

@@ -15,8 +15,10 @@
 // operands; multiply_prepacked() streams caller-owned panels in place. A
 // semiring without simd_ops (every in-tree one has them) falls back to the
 // naive triple loop, which is also the multiply_reference oracle. The
-// multi-threaded driver partitions C by row panels across a thread pool,
-// mirroring how a GPU partitions C across thread blocks.
+// paths product multiply_with_pred runs the value kernel's argmin sibling
+// wherever B does not alias C, and a row-buffered sweep for the row panel
+// (B ≡ C). The multi-threaded driver partitions C by row panels across a
+// thread pool, mirroring how a GPU partitions C across thread blocks.
 #pragma once
 
 #include <algorithm>
@@ -150,7 +152,8 @@ inline std::size_t row_panels(const Config& cfg, std::size_t rows) {
 /// Runs one dispatch and lands it in the ambient dispatch-level metrics
 /// (PARFW_METRICS gate): one set of series per label set in the global
 /// registry — kernel=simd (or kernel=naive for a semiring without
-/// simd_ops) for multiply(), kernel=pred for multiply_with_pred. Recording
+/// simd_ops) for multiply(), kernel=argmin or kernel=pred for
+/// multiply_with_pred. Recording
 /// costs two atomic adds + two histogram observes per call — measured at
 /// the dispatch granularity, not per tile, so the kernels themselves stay
 /// untouched. `packs` marks a call whose operands stream through the pack
@@ -274,8 +277,8 @@ void multiply_reference(MatrixView<const typename S::value_type> A,
 }
 
 /// Scalar reference for multiply_with_pred: for each (i,j), an ascending-t
-/// scan that takes the first strict improvement and its predB(t,j). The
-/// fused kernel is bit-identical to it on non-aliased operands; the kernel
+/// scan that takes the first strict improvement and its predB(t,j). Both
+/// pred kernels are bit-identical to it on non-aliased operands; the kernel
 /// tests diff against it and bench_paths measures the speedup over it.
 template <typename S>
 void multiply_with_pred_reference(MatrixView<const typename S::value_type> A,
@@ -305,26 +308,17 @@ void multiply_with_pred_reference(MatrixView<const typename S::value_type> A,
     }
 }
 
-/// Fused predecessor-tracking SRGEMM:
-///     where C[i,j] improves through row t of B, predC[i,j] ← predB[t,j]
-/// (the blocked-FW pred rule: pred(i,j) ← pred(t,j), with predB carrying
-/// global vertex ids). One deterministic kernel — detail::pred_sweep_rows,
-/// SIMD when the semiring has lane-wise forms — services every call site,
-/// which is what makes the distributed pred matrices bit-identical to the
-/// single-node blocked_floyd_warshall result with a pred view.
-///
-/// Aliasing: the blocked-FW panel updates deliberately alias (row panel
-/// B ≡ C, column panel A ≡ C); both are well-defined under the kernel's
-/// row-buffered order. Row-panel aliasing carries cross-row dependencies,
-/// so the pool split is only applied when B does not alias C (rows of C
-/// are then independent sub-problems and the split cannot change results).
+namespace detail {
+
+/// multiply_with_pred's body. `prepacked` streams panel-resident operands
+/// in place, as for multiply_prepacked; it has no effect on the row sweep.
 template <typename S>
-void multiply_with_pred(MatrixView<const typename S::value_type> A,
-                        MatrixView<const typename S::value_type> B,
-                        MatrixView<typename S::value_type> C,
-                        MatrixView<const std::int64_t> predB,
-                        MatrixView<std::int64_t> predC,
-                        const Config& caller_cfg = {}) {
+void multiply_with_pred_impl(MatrixView<const typename S::value_type> A,
+                             MatrixView<const typename S::value_type> B,
+                             MatrixView<typename S::value_type> C,
+                             MatrixView<const std::int64_t> predB,
+                             MatrixView<std::int64_t> predC,
+                             const Config& caller_cfg, bool prepacked) {
   PARFW_CHECK_MSG(A.rows() == C.rows() && B.cols() == C.cols() &&
                       A.cols() == B.rows(),
                   "srgemm shape mismatch: C(" << C.rows() << "x" << C.cols()
@@ -333,30 +327,72 @@ void multiply_with_pred(MatrixView<const typename S::value_type> A,
   PARFW_CHECK(predB.rows() == B.rows() && predB.cols() == B.cols());
   PARFW_CHECK(predC.rows() == C.rows() && predC.cols() == C.cols());
   if (C.empty() || A.cols() == 0) return;
-  const Config cfg = detail::apply_env_pins(caller_cfg);
+  const Config cfg = apply_env_pins(caller_cfg);
   const std::size_t m = C.rows();
   const bool rows_independent = B.data() != C.data();
+  const bool argmin = simd_ops<S>::available && rows_independent;
   const auto dispatch = [&] {
-    detail::split_rows(cfg.pool, m,
-                       rows_independent ? detail::row_panels(cfg, m) : 1,
-                       cfg.tile_m, [&](std::size_t r0, std::size_t r1) {
-                         detail::pred_sweep_rows<S>(A, B, C, predB, predC, r0,
-                                                    r1);
-                       });
+    split_rows(
+        cfg.pool, m, rows_independent ? row_panels(cfg, m) : 1, cfg.tile_m,
+        [&](std::size_t r0, std::size_t r1) {
+          if constexpr (simd_ops<S>::available) {
+            if (argmin) {
+              const std::size_t rows = r1 - r0;
+              tiled_kernel_argmin<S, kMicroRows, kMicroVecs>(
+                  A.sub(r0, 0, rows, A.cols()), B,
+                  C.sub(r0, 0, rows, C.cols()), predB,
+                  predC.sub(r0, 0, rows, C.cols()), cfg.tile_m, cfg.tile_n,
+                  cfg.tile_k, /*pack=*/!prepacked);
+              return;
+            }
+          }
+          pred_sweep_rows<S>(A, B, C, predB, predC, r0, r1);
+        });
   };
   if (!telemetry::enabled()) {
     dispatch();
     return;
   }
-  detail::record_dispatch_metrics<S>("kernel=pred", m, C.cols(), A.cols(),
-                                     /*packs=*/false, dispatch);
+  record_dispatch_metrics<S>(argmin ? "kernel=argmin" : "kernel=pred", m,
+                             C.cols(), A.cols(), argmin && !prepacked,
+                             dispatch);
+}
+
+}  // namespace detail
+
+/// Fused predecessor-tracking SRGEMM:
+///     where C[i,j] improves through row t of B, predC[i,j] ← predB[t,j]
+/// (the blocked-FW pred rule: pred(i,j) ← pred(t,j), with predB carrying
+/// global vertex ids). This is the one place that chooses between the two
+/// deterministic pred kernels, which is what makes the distributed pred
+/// matrices bit-identical to the single-node blocked_floyd_warshall result
+/// with a pred view:
+///   * detail::tiled_kernel_argmin (kernel=argmin) — the register-blocked
+///     argmin kernel — for every product whose B does not alias C, when
+///     the semiring has lane-wise forms. Rows of C are then independent
+///     sub-problems, so the pool split cannot change results. A ≡ C (the
+///     column panel) is allowed: the kernel reads a copy of A.
+///   * detail::pred_sweep_rows (kernel=pred) — the row-buffered rank-1
+///     sweep — for the row panel, B ≡ C, whose dependencies run across
+///     rows (Gauss-Seidel across rows, so it runs unsplit), and for a
+///     semiring without simd_ops. It costs O(b·n) per FW round.
+template <typename S>
+void multiply_with_pred(MatrixView<const typename S::value_type> A,
+                        MatrixView<const typename S::value_type> B,
+                        MatrixView<typename S::value_type> C,
+                        MatrixView<const std::int64_t> predB,
+                        MatrixView<std::int64_t> predC,
+                        const Config& cfg = {}) {
+  detail::multiply_with_pred_impl<S>(A, B, C, predB, predC, cfg,
+                                     /*prepacked=*/false);
 }
 
 /// The SRGEMM entry of the payload-generic engines (blocked FW and the
 /// distributed interpreter's compute ops). Empty pred views mean a
 /// values-only product: multiply_prepacked when the caller's operands are
-/// panel-resident, multiply otherwise. Non-empty ones select the fused
-/// argmin kernel multiply_with_pred, which packs nothing either way.
+/// panel-resident, multiply otherwise. Non-empty ones select
+/// multiply_with_pred, which chooses its pred kernel itself and streams
+/// panel-resident operands in place too.
 template <typename S>
 void multiply_payload(MatrixView<const typename S::value_type> A,
                       MatrixView<const typename S::value_type> B,
@@ -365,7 +401,7 @@ void multiply_payload(MatrixView<const typename S::value_type> A,
                       MatrixView<std::int64_t> predC, const Config& cfg,
                       bool prepacked) {
   if (!predC.empty())
-    multiply_with_pred<S>(A, B, C, predB, predC, cfg);
+    detail::multiply_with_pred_impl<S>(A, B, C, predB, predC, cfg, prepacked);
   else if (prepacked)
     multiply_prepacked<S>(A, B, C, cfg);
   else

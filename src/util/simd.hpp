@@ -14,11 +14,26 @@
 // native_lanes<T>() is the lane count the micro-kernels are stamped out
 // with. Loads and stores are unaligned (memcpy-based) so kernels can walk
 // arbitrary leading dimensions; packing buffers are 64-byte aligned anyway.
+//
+// Lane bitmasks (bits_t) are the argmin kernel's t bookkeeping. Where
+// comparisons write mask registers (kMaskRegisters, AVX-512) the bitmask
+// ops are AVX-512 intrinsics; elsewhere they are lane loops over the
+// vector-mask ops above.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <type_traits>
+
+#if (defined(__GNUC__) || defined(__clang__)) && defined(__AVX512BW__) && \
+    defined(__AVX512DQ__)
+#define PARFW_SIMD_MASK_REGS 1
+#include <immintrin.h>
+#else
+#define PARFW_SIMD_MASK_REGS 0
+#endif
 
 namespace parfw::simd {
 
@@ -38,6 +53,11 @@ inline constexpr std::size_t kNativeBytes = 16;
 #else
 inline constexpr std::size_t kNativeBytes = 0;  // scalar fallback
 #endif
+
+/// True where native-width comparisons write mask registers (AVX-512 with
+/// byte, word and doubleword mask ops): vcmp_lt_bits then yields a bitmask
+/// directly and vselect_bits consumes one, with no vector mask in between.
+inline constexpr bool kMaskRegisters = PARFW_SIMD_MASK_REGS == 1;
 
 /// Lanes per native vector for element type T (>= 1; 4 in scalar fallback
 /// so the micro-kernels still get an unrollable shape).
@@ -288,6 +308,190 @@ inline void vblend_ids(Vec<M, W> m, const std::int64_t* src,
         dst + H,
         vselect(vmask_cast<std::int64_t>(vhalf<1>(m)),
                 load<std::int64_t, H>(src + H), load<std::int64_t, H>(dst + H)));
+  }
+}
+
+/// Lane bitmask of W lanes (bit l is lane l) in the narrowest unsigned
+/// type that holds it. For W >= 8 an array of them is one contiguous bit
+/// string: word w holds lanes w*W .. w*W + W - 1.
+template <std::size_t W>
+using bits_t = std::conditional_t<
+    W <= 8, std::uint8_t,
+    std::conditional_t<W <= 16, std::uint16_t,
+                       std::conditional_t<W <= 32, std::uint32_t,
+                                          std::uint64_t>>>;
+
+/// Lane bitmask of a comparison mask: bit l set iff lane l is nonzero.
+template <typename M, std::size_t W>
+inline bits_t<W> vbits(Vec<M, W> m) {
+  bits_t<W> r = 0;
+  for (std::size_t l = 0; l < W; ++l)
+    r |= static_cast<bits_t<W>>(static_cast<bits_t<W>>(m.v[l] != 0) << l);
+  return r;
+}
+
+/// Lane-wise a < b as a bitmask: one compare into a mask register on a
+/// native-width vector with kMaskRegisters, vbits(vcmp_lt(a, b)) elsewhere.
+template <typename T, std::size_t W>
+inline bits_t<W> vcmp_lt_bits(Vec<T, W> a, Vec<T, W> b) {
+#if PARFW_SIMD_MASK_REGS
+  if constexpr (W * sizeof(T) == 64) {
+    if constexpr (std::is_same_v<T, float>) {
+      return _mm512_cmp_ps_mask((__m512)a.v, (__m512)b.v, _CMP_LT_OQ);
+    } else if constexpr (std::is_same_v<T, double>) {
+      return _mm512_cmp_pd_mask((__m512d)a.v, (__m512d)b.v, _CMP_LT_OQ);
+    } else if constexpr (std::is_integral_v<T>) {
+      const __m512i x = (__m512i)a.v, y = (__m512i)b.v;
+      constexpr bool s = std::is_signed_v<T>;
+      if constexpr (sizeof(T) == 1)
+        return s ? _mm512_cmplt_epi8_mask(x, y) : _mm512_cmplt_epu8_mask(x, y);
+      if constexpr (sizeof(T) == 2)
+        return s ? _mm512_cmplt_epi16_mask(x, y)
+                 : _mm512_cmplt_epu16_mask(x, y);
+      if constexpr (sizeof(T) == 4)
+        return s ? _mm512_cmplt_epi32_mask(x, y)
+                 : _mm512_cmplt_epu32_mask(x, y);
+      if constexpr (sizeof(T) == 8)
+        return s ? _mm512_cmplt_epi64_mask(x, y)
+                 : _mm512_cmplt_epu64_mask(x, y);
+    }
+  }
+#endif
+  return vbits(vcmp_lt(a, b));
+}
+/// Lane-wise a > b as a bitmask.
+template <typename T, std::size_t W>
+inline bits_t<W> vcmp_gt_bits(Vec<T, W> a, Vec<T, W> b) {
+  return vcmp_lt_bits(b, a);
+}
+
+/// Lanes whose bit is set take x, the rest keep y: one masked blend on a
+/// native-width vector with kMaskRegisters.
+template <typename T, std::size_t W>
+inline Vec<T, W> vselect_bits(bits_t<W> m, Vec<T, W> x, Vec<T, W> y) {
+#if PARFW_SIMD_MASK_REGS
+  if constexpr (W * sizeof(T) == 64) {
+    using N = typename Vec<T, W>::native;
+    if constexpr (std::is_same_v<T, float>)
+      return {(N)_mm512_mask_blend_ps(m, (__m512)y.v, (__m512)x.v)};
+    if constexpr (std::is_same_v<T, double>)
+      return {(N)_mm512_mask_blend_pd(m, (__m512d)y.v, (__m512d)x.v)};
+    const __m512i xi = (__m512i)x.v, yi = (__m512i)y.v;
+    if constexpr (sizeof(T) == 1) return {(N)_mm512_mask_blend_epi8(m, yi, xi)};
+    if constexpr (sizeof(T) == 2)
+      return {(N)_mm512_mask_blend_epi16(m, yi, xi)};
+    if constexpr (sizeof(T) == 4)
+      return {(N)_mm512_mask_blend_epi32(m, yi, xi)};
+    if constexpr (sizeof(T) == 8)
+      return {(N)_mm512_mask_blend_epi64(m, yi, xi)};
+  }
+#endif
+  Vec<mask_t<T>, W> mv;
+  for (std::size_t l = 0; l < W; ++l)
+    mv.v[l] = ((m >> l) & 1) != 0 ? mask_t<T>(-1) : mask_t<T>(0);
+  return vselect(mv, x, y);
+}
+
+/// *p = m. With kMaskRegisters the store is spelled as one kmov from the
+/// mask register: the compiler would otherwise merge a run of adjacent
+/// bitmask stores into one vector store assembled through general
+/// registers, which costs ALU ops the stores themselves do not.
+template <std::size_t W>
+inline void store_bits(bits_t<W>* p, bits_t<W> m) {
+#if PARFW_SIMD_MASK_REGS
+  if constexpr (sizeof(m) == 1)
+    asm("kmovb %1, %0" : "=m"(*p) : "k"(m));
+  else if constexpr (sizeof(m) == 2)
+    asm("kmovw %1, %0" : "=m"(*p) : "k"(m));
+  else if constexpr (sizeof(m) == 4)
+    asm("kmovd %1, %0" : "=m"(*p) : "k"(m));
+  else
+    asm("kmovq %1, %0" : "=m"(*p) : "k"(m));
+#else
+  *p = m;
+#endif
+}
+
+/// For every lane e < Words * W set in hits (hits[w] covers word w), the
+/// index of the last of kk rows of bitmasks (row t is Words words at
+/// rows + t * Words) whose bit e is set, written to win[e]; other lanes of
+/// win are left alone. kk <= 256, so an index fits the byte. With
+/// kMaskRegisters each row drives byte blends of t into the winner bytes,
+/// 64 lanes per instruction; elsewhere each word scans its rows backwards
+/// until every hit lane is placed.
+template <std::size_t Words, std::size_t W>
+inline void last_hits(const bits_t<W>* rows, std::size_t kk,
+                      const bits_t<W>* hits, std::uint8_t* win) {
+#if PARFW_SIMD_MASK_REGS
+  if constexpr (W >= 8) {
+    constexpr std::size_t E = Words * W, kBytes = E / 8, C = (E + 63) / 64;
+    const auto* bytes = reinterpret_cast<const unsigned char*>(rows);
+    __m512i w[C] = {};
+    // t rides in a register, stepped by one add per row: a broadcast of t
+    // from a general register would cost each blend a second shuffle op.
+    __m512i tv = _mm512_setzero_si512();
+    const __m512i one = _mm512_set1_epi8(1);
+    for (std::size_t t = 0; t < kk; ++t) {
+      for (std::size_t c = 0; c < C; ++c) {
+        __mmask64 m = 0;
+        std::memcpy(&m, bytes + t * kBytes + c * 8,
+                    c * 8 + 8 <= kBytes ? 8 : kBytes - c * 8);
+        w[c] = _mm512_mask_mov_epi8(w[c], m, tv);
+      }
+      tv = _mm512_add_epi8(tv, one);
+    }
+    for (std::size_t c = 0; c < C; ++c) {
+      __mmask64 m = 0;
+      std::memcpy(&m, reinterpret_cast<const unsigned char*>(hits) + c * 8,
+                  c * 8 + 8 <= kBytes ? 8 : kBytes - c * 8);
+      _mm512_mask_storeu_epi8(win + c * 64, m, w[c]);
+    }
+    return;
+  }
+#endif
+  for (std::size_t w = 0; w < Words; ++w) {
+    bits_t<W> rem = hits[w];
+    for (std::size_t t = kk; rem != 0 && t-- > 0;) {
+      bits_t<W> h = rows[t * Words + w] & rem;
+      rem = static_cast<bits_t<W>>(rem & ~h);
+      for (; h != 0; h = static_cast<bits_t<W>>(h & (h - 1)))
+        win[w * W + static_cast<std::size_t>(std::countr_zero(h))] =
+            static_cast<std::uint8_t>(t);
+    }
+  }
+}
+
+/// dst[l] = src[win[l] * ld + l] for every lane l < W set in m — a row
+/// pick per lane, the argmin kernel's predecessor fetch. With
+/// kMaskRegisters each 8 lanes are one masked gather and one masked store;
+/// elsewhere (or when a row offset could leave int32) a lane loop.
+template <std::size_t W>
+inline void vpick_rows(bits_t<W> m, const std::uint8_t* win,
+                       const std::int64_t* src, std::size_t ld,
+                       std::int64_t* dst) {
+#if PARFW_SIMD_MASK_REGS
+  if constexpr (W % 8 == 0) {
+    if (ld <= 0x7fffffffu / 256) {
+      const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+      const __m256i ldv = _mm256_set1_epi32(static_cast<int>(ld));
+      for (std::size_t c = 0; c < W / 8; ++c) {
+        const auto k = static_cast<__mmask8>(m >> (8 * c));
+        if (k == 0) continue;
+        const __m256i t = _mm256_cvtepu8_epi32(_mm_loadl_epi64(
+            reinterpret_cast<const __m128i*>(win + 8 * c)));
+        const __m256i idx =
+            _mm256_add_epi32(_mm256_mullo_epi32(t, ldv), lane);
+        const __m512i ids = _mm512_mask_i32gather_epi64(
+            _mm512_setzero_si512(), k, idx, src + 8 * c, 8);
+        _mm512_mask_storeu_epi64(dst + 8 * c, k, ids);
+      }
+      return;
+    }
+  }
+#endif
+  for (; m != 0; m = static_cast<bits_t<W>>(m & (m - 1))) {
+    const std::size_t l = static_cast<std::size_t>(std::countr_zero(m));
+    dst[l] = src[win[l] * ld + l];
   }
 }
 

@@ -297,7 +297,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(DistPaths, RectangularGridsAlsoBitIdentical) {
   const std::size_t n = 48, b = 8;
-  for (const auto [pr, pc] : {std::pair{1, 1}, std::pair{2, 3},
+  for (const auto& [pr, pc] : {std::pair{1, 1}, std::pair{2, 3},
                               std::pair{3, 2}, std::pair{1, 4}}) {
     DenseEntryGen<float> gen(5200 + static_cast<std::uint64_t>(pr * 10 + pc),
                              0.7, 1.0f, 60.0f, /*integral=*/true);

@@ -224,8 +224,9 @@ TEST(FaultMatrix, EveryKindVariantAndPlacementCompletesExactly) {
           EXPECT_GT(faulty.traffic.retries, 0u) << where;
           EXPECT_GT(faulty.traffic.retry_bytes, 0u) << where;
         }
-        if (kind.dup > 0)
+        if (kind.dup > 0) {
           EXPECT_GT(faulty.traffic.dup_discarded, 0u) << where;
+        }
       }
     }
   }

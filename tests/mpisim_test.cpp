@@ -180,7 +180,9 @@ TEST(Collectives, ReduceMaxOp) {
     int v = (c.rank() * 7) % 5;
     c.reduce(std::span<int>(&v, 1), [](int a, int b) { return std::max(a, b); },
              2);
-    if (c.rank() == 2) EXPECT_EQ(v, 4);
+    if (c.rank() == 2) {
+      EXPECT_EQ(v, 4);
+    }
   });
 }
 
@@ -253,10 +255,11 @@ TEST(Split, GridRowsAndColumns) {
     EXPECT_EQ(row_comm.rank(), col);
     EXPECT_EQ(col_comm.rank(), row);
     // Sub-communicator p2p must be isolated from world traffic.
-    if (col == 0)
+    if (col == 0) {
       row_comm.send_value(world.rank(), 1, 77);
-    else if (col == 1)
+    } else if (col == 1) {
       EXPECT_EQ(row_comm.recv_value<int>(0, 77), row * 3);
+    }
   });
 }
 

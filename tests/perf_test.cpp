@@ -24,8 +24,7 @@ TEST(CostModel, ComputeTimeScalesInversely) {
 
 TEST(CostModel, NodeVolumeSquareBeatsSkewed) {
   GridShape square{24, 32, 3, 4};   // K = 8x8
-  GridShape skewed{8, 96, 1, 12};   // K = 8x8 nodes but 1x12 intranode -> K=8x8? qr=1,qc=12: kr=8,kc=8
-  // Same node count; make the skew at the NODE grid instead:
+  // Same node count, skewed at the node grid:
   GridShape skewed_nodes{4, 192, 2, 6};  // kr=2, kc=32
   const double v_sq = model_node_volume(kSummit, 196608, square);
   const double v_sk = model_node_volume(kSummit, 196608, skewed_nodes);

@@ -8,6 +8,7 @@
 #include <string>
 #include <tuple>
 #include <utility>
+#include <vector>
 
 #include "core/blocked_fw.hpp"
 #include "core/floyd_warshall.hpp"
@@ -169,59 +170,100 @@ TEST(Srgemm, StridedViewsWork) {
 // Fused predecessor-tracking kernel (multiply_with_pred) vs scalar oracle.
 // ---------------------------------------------------------------------------
 
+/// Random values in 1..50 (integral, so ties are common) with the given
+/// share of zero().
+template <typename S>
+void fill_pred_operand(Matrix<typename S::value_type>& mat, Rng& rng,
+                       double inf_prob) {
+  using T = typename S::value_type;
+  for (std::size_t i = 0; i < mat.rows(); ++i)
+    for (std::size_t j = 0; j < mat.cols(); ++j)
+      mat(i, j) = rng.next_double() < inf_prob
+                      ? S::zero()
+                      : static_cast<T>(1 + rng.next_below(50));
+}
+
+/// multiply_with_pred vs multiply_with_pred_reference on one m x n x k
+/// product, under `cfg`: values and preds must be bit-identical. With
+/// `prepacked` the product goes through multiply_payload, which streams
+/// the operands in place instead of packing them.
+template <typename S>
+void check_pred_shape(std::size_t m, std::size_t n, std::size_t k,
+                      std::uint64_t seed, const srgemm::Config& cfg,
+                      bool prepacked = false) {
+  using T = typename S::value_type;
+  Rng rng(seed);
+  Matrix<T> A(m, k), B(k, n), C(m, n);
+  fill_pred_operand<S>(A, rng, 0.15);
+  fill_pred_operand<S>(B, rng, 0.15);
+  fill_pred_operand<S>(C, rng, 0.4);
+  Matrix<std::int64_t> predB(k, n), predC(m, n, -1);
+  for (std::size_t t = 0; t < k; ++t)
+    for (std::size_t j = 0; j < n; ++j)
+      predB(t, j) = static_cast<std::int64_t>(rng.next_below(1000));
+
+  auto C_ref = C.clone();
+  auto P_ref = predC.clone();
+  srgemm::multiply_with_pred_reference<S>(A.view(), B.view(), C_ref.view(),
+                                          predB.view(), P_ref.view());
+  auto C_got = C.clone();
+  auto P_got = predC.clone();
+  if (prepacked)
+    srgemm::multiply_payload<S>(A.view(), B.view(), C_got.view(),
+                                predB.view(), P_got.view(), cfg,
+                                /*prepacked=*/true);
+  else
+    srgemm::multiply_with_pred<S>(A.view(), B.view(), C_got.view(),
+                                  predB.view(), P_got.view(), cfg);
+
+  const bool pooled = cfg.pool != nullptr;
+  EXPECT_EQ(max_abs_diff<T>(C_ref.view(), C_got.view()), 0.0)
+      << m << "x" << n << "x" << k << " tile_k " << cfg.tile_k
+      << (pooled ? " pooled" : "") << (prepacked ? " prepacked" : "");
+  std::size_t mism = 0;
+  for (std::size_t i = 0; i < m; ++i)
+    for (std::size_t j = 0; j < n; ++j)
+      if (P_ref(i, j) != P_got(i, j)) ++mism;
+  EXPECT_EQ(mism, 0u) << m << "x" << n << "x" << k << " tile_k "
+                      << cfg.tile_k << (pooled ? " pooled" : "")
+                      << (prepacked ? " prepacked" : "");
+}
+
+/// The argmin kernel against the scalar oracle on: a few plain shapes;
+/// every m mod MR crossed with every n mod NR (the argmin fragment's
+/// columns, so the one-vector tail and the scalar edge both run); and
+/// depths past the 256-deep k chunk that are multiples of nothing, so k
+/// chunks compose. Each shape runs sequentially under Config{}, under
+/// Config{} with the operands streamed in place (multiply_payload's
+/// prepacked path), sequentially under small tiles (tile_k = 20: many
+/// chunks), and under the small tiles on a 4-worker pool. Rows of C are
+/// independent when B !≡ C, so the pool split must be bit-identical too.
 template <typename S>
 void check_pred_kernel(std::uint64_t seed) {
   using T = typename S::value_type;
-  for (auto [m, n, k] :
-       {std::tuple{1, 1, 1}, std::tuple{3, 5, 2}, std::tuple{7, 65, 9},
-        std::tuple{33, 47, 25}, std::tuple{64, 64, 64}}) {
-    Rng rng(seed + static_cast<std::uint64_t>(m * 1000 + n));
-    auto fill = [&](Matrix<T>& mat, double inf_prob) {
-      for (std::size_t i = 0; i < mat.rows(); ++i)
-        for (std::size_t j = 0; j < mat.cols(); ++j)
-          mat(i, j) = rng.next_double() < inf_prob
-                          ? S::zero()
-                          : static_cast<T>(1 + rng.next_below(50));
-    };
-    Matrix<T> A(m, k), B(k, n), C(m, n);
-    fill(A, 0.15);
-    fill(B, 0.15);
-    fill(C, 0.4);
-    Matrix<std::int64_t> predB(k, n), predC(m, n, -1);
-    for (std::size_t t = 0; t < static_cast<std::size_t>(k); ++t)
-      for (std::size_t j = 0; j < static_cast<std::size_t>(n); ++j)
-        predB(t, j) = static_cast<std::int64_t>(rng.next_below(1000));
+  constexpr std::size_t MR = srgemm::detail::kMicroRows;
+  constexpr std::size_t NR =
+      srgemm::detail::kMicroVecs * simd::native_lanes<T>();
+  std::vector<std::tuple<std::size_t, std::size_t, std::size_t>> shapes = {
+      {1, 1, 1}, {3, 5, 2}, {7, 65, 9}, {33, 47, 25}, {64, 64, 64},
+      {9, 70, 263}, {13, 37, 301}};
+  for (std::size_t r = 0; r < MR; ++r)
+    for (std::size_t c = 0; c < NR; ++c)
+      shapes.emplace_back(2 * MR + r, NR + c, 19 + r);
 
-    auto C_ref = C.clone();
-    auto P_ref = predC.clone();
-    srgemm::multiply_with_pred_reference<S>(A.view(), B.view(), C_ref.view(),
-                                            predB.view(), P_ref.view());
-    auto C_got = C.clone();
-    auto P_got = predC.clone();
-    srgemm::multiply_with_pred<S>(A.view(), B.view(), C_got.view(),
-                                  predB.view(), P_got.view());
-
-    EXPECT_EQ(max_abs_diff<T>(C_ref.view(), C_got.view()), 0.0)
-        << m << "x" << n << "x" << k;
-    std::size_t mism = 0;
-    for (std::size_t i = 0; i < static_cast<std::size_t>(m); ++i)
-      for (std::size_t j = 0; j < static_cast<std::size_t>(n); ++j)
-        if (P_ref(i, j) != P_got(i, j)) ++mism;
-    EXPECT_EQ(mism, 0u) << m << "x" << n << "x" << k;
-
-    // Pool-split path: rows of C are independent when B !≡ C, so the
-    // split must be bit-identical too.
-    srgemm::Config pooled;
-    pooled.tile_m = 8;
-    pooled.pool = &ThreadPool::global();
-    auto C_pool = C.clone();
-    auto P_pool = predC.clone();
-    srgemm::multiply_with_pred<S>(A.view(), B.view(), C_pool.view(),
-                                  predB.view(), P_pool.view(), pooled);
-    EXPECT_EQ(max_abs_diff<T>(C_ref.view(), C_pool.view()), 0.0);
-    for (std::size_t i = 0; i < static_cast<std::size_t>(m); ++i)
-      for (std::size_t j = 0; j < static_cast<std::size_t>(n); ++j)
-        ASSERT_EQ(P_ref(i, j), P_pool(i, j)) << i << "," << j;
+  ThreadPool pool(4);
+  srgemm::Config small;
+  small.tile_m = 8;
+  small.tile_n = 24;
+  small.tile_k = 20;
+  srgemm::Config small_pooled = small;
+  small_pooled.pool = &pool;
+  for (const auto& [m, n, k] : shapes) {
+    const std::uint64_t s = seed + m * 1000 + n * 7 + k;
+    check_pred_shape<S>(m, n, k, s, srgemm::Config{});
+    check_pred_shape<S>(m, n, k, s, srgemm::Config{}, /*prepacked=*/true);
+    check_pred_shape<S>(m, n, k, s, small);
+    check_pred_shape<S>(m, n, k, s, small_pooled);
   }
 }
 
@@ -240,37 +282,204 @@ TEST(SrgemmPred, FusedKernelMatchesScalarOracleMaxMinFloat) {
 
 TEST(SrgemmPred, RecordsDispatchMetricsWhenEnabled) {
   // multiply_with_pred lands in the same srgemm.* series as multiply(),
-  // under kernel=pred, once per call — and records nothing while ambient
-  // telemetry is off.
+  // once per call: under kernel=argmin when B does not alias C, under
+  // kernel=pred for the row panel (B ≡ C) — and records nothing while
+  // ambient telemetry is off.
   using S = MinPlus<float>;
   const std::size_t m = 12, n = 20, k = 7;
   auto A = random_matrix<float>(m, k, 96);
   auto B = random_matrix<float>(k, n, 97);
   auto C = random_matrix<float>(m, n, 98);
-  Matrix<std::int64_t> predB(k, n, 0), predC(m, n, -1);
+  auto akk = random_matrix<float>(k, k, 99);
+  auto strip = random_matrix<float>(k, n, 100);
+  Matrix<std::int64_t> predB(k, n, 0), predC(m, n, -1), pstrip(k, n, 0);
   telemetry::Registry& reg = telemetry::Registry::global();
-  const telemetry::Counter& calls = reg.counter("srgemm.calls", "kernel=pred");
-  const telemetry::Counter& flops = reg.counter("srgemm.flops", "kernel=pred");
-  const telemetry::Histogram& secs =
-      reg.histogram("srgemm.seconds", "kernel=pred");
+  struct Series {
+    const telemetry::Counter& calls;
+    const telemetry::Counter& flops;
+    const telemetry::Histogram& secs;
+    std::uint64_t calls0, flops0, secs0;
+  };
+  auto series = [&](const std::string& labels) {
+    const telemetry::Counter& calls = reg.counter("srgemm.calls", labels);
+    const telemetry::Counter& flops = reg.counter("srgemm.flops", labels);
+    const telemetry::Histogram& secs = reg.histogram("srgemm.seconds", labels);
+    return Series{calls, flops, secs, calls.value(), flops.value(),
+                  secs.count()};
+  };
+  const Series argmin = series("kernel=argmin");
+  const Series pred = series("kernel=pred");
   const bool was_enabled = telemetry::enabled();
-  const std::uint64_t calls0 = calls.value(), flops0 = flops.value();
-  const std::uint64_t secs0 = secs.count();
 
-  telemetry::set_enabled(false);
-  srgemm::multiply_with_pred<S>(A.view(), B.view(), C.view(), predB.view(),
-                                predC.view());
-  EXPECT_EQ(calls.value(), calls0);
-  telemetry::set_enabled(true);
-  for (int rep = 0; rep < 3; ++rep)
+  auto product = [&] {
     srgemm::multiply_with_pred<S>(A.view(), B.view(), C.view(), predB.view(),
                                   predC.view());
+  };
+  auto row_panel = [&] {
+    srgemm::multiply_with_pred<S>(akk.view(), strip.view(), strip.view(),
+                                  pstrip.view(), pstrip.view());
+  };
+  telemetry::set_enabled(false);
+  product();
+  row_panel();
+  EXPECT_EQ(argmin.calls.value(), argmin.calls0);
+  EXPECT_EQ(pred.calls.value(), pred.calls0);
+  telemetry::set_enabled(true);
+  for (int rep = 0; rep < 3; ++rep) product();
+  for (int rep = 0; rep < 2; ++rep) row_panel();
   telemetry::set_enabled(was_enabled);
 
-  EXPECT_EQ(calls.value() - calls0, 3u);
-  EXPECT_EQ(flops.value() - flops0,
+  EXPECT_EQ(argmin.calls.value() - argmin.calls0, 3u);
+  EXPECT_EQ(argmin.flops.value() - argmin.flops0,
             static_cast<std::uint64_t>(3 * srgemm::flops(m, n, k)));
-  EXPECT_EQ(secs.count() - secs0, 3u);
+  EXPECT_EQ(argmin.secs.count() - argmin.secs0, 3u);
+  EXPECT_EQ(pred.calls.value() - pred.calls0, 2u);
+  EXPECT_EQ(pred.flops.value() - pred.flops0,
+            static_cast<std::uint64_t>(2 * srgemm::flops(k, n, k)));
+  EXPECT_EQ(pred.secs.count() - pred.secs0, 2u);
+}
+
+/// Test-local row-buffered oracle of a blocked-FW panel update: each row's
+/// values and preds are computed from the row as it stood before the call
+/// (A(i,·) and C(i,·) read from one snapshot), by an ascending-t scan that
+/// takes strict improvements, and committed after the whole scan. A ≡ C
+/// and B ≡ C both mean "the snapshot of row i".
+template <typename S>
+void row_buffered_oracle(MatrixView<typename S::value_type> C,
+                         MatrixView<std::int64_t> predC,
+                         MatrixView<const typename S::value_type> A,
+                         MatrixView<const typename S::value_type> B,
+                         MatrixView<const std::int64_t> predB, bool a_is_c,
+                         bool b_is_c) {
+  using T = typename S::value_type;
+  const std::size_t m = C.rows(), n = C.cols(), k = A.cols();
+  for (std::size_t i = 0; i < m; ++i) {
+    std::vector<T> row(C.data() + i * C.ld(), C.data() + i * C.ld() + n);
+    std::vector<std::int64_t> prow(predC.data() + i * predC.ld(),
+                                   predC.data() + i * predC.ld() + n);
+    std::vector<T> best = row;
+    std::vector<std::int64_t> bp = prow;
+    for (std::size_t t = 0; t < k; ++t) {
+      const T a = a_is_c ? row[t] : A(i, t);
+      for (std::size_t j = 0; j < n; ++j) {
+        const T b = b_is_c ? C(t, j) : B(t, j);
+        const std::int64_t pb = b_is_c ? predC(t, j) : predB(t, j);
+        const T cand = S::mul(a, b);
+        if (S::less_add(cand, best[j])) {
+          best[j] = cand;
+          bp[j] = pb;
+        }
+      }
+    }
+    std::copy(best.begin(), best.end(), C.data() + i * C.ld());
+    std::copy(bp.begin(), bp.end(), predC.data() + i * predC.ld());
+  }
+}
+
+/// A closed b x b diagonal block full of integral ties, and distinct ids.
+template <typename S>
+std::pair<Matrix<typename S::value_type>, Matrix<std::int64_t>> closed_akk(
+    std::size_t b, std::uint64_t seed) {
+  using T = typename S::value_type;
+  Rng rng(seed);
+  Matrix<T> akk(b, b);
+  fill_pred_operand<S>(akk, rng, 0.3);
+  for (std::size_t d = 0; d < b; ++d) akk(d, d) = S::one();
+  floyd_warshall<S>(akk.view());
+  Matrix<std::int64_t> pkk(b, b);
+  for (std::size_t t = 0; t < b; ++t)
+    for (std::size_t j = 0; j < b; ++j)
+      pkk(t, j) = static_cast<std::int64_t>(t * 1000 + j);
+  return {std::move(akk), std::move(pkk)};
+}
+
+template <typename S>
+void check_column_panel_alias(std::size_t m, std::size_t b,
+                              std::uint64_t seed) {
+  using T = typename S::value_type;
+  auto [akk, pkk] = closed_akk<S>(b, seed);
+  Rng rng(seed + 1);
+  Matrix<T> panel(m, b);
+  fill_pred_operand<S>(panel, rng, 0.3);
+  Matrix<std::int64_t> ppanel(m, b, -1);
+
+  auto C_ref = panel.clone();
+  auto P_ref = ppanel.clone();
+  row_buffered_oracle<S>(C_ref.view(), P_ref.view(), C_ref.view(),
+                         akk.view(), pkk.view(), /*a_is_c=*/true,
+                         /*b_is_c=*/false);
+  ThreadPool pool(4);
+  srgemm::Config small;
+  small.tile_m = 8;
+  small.tile_n = 24;
+  small.tile_k = 20;
+  srgemm::Config small_pooled = small;
+  small_pooled.pool = &pool;
+  for (const srgemm::Config& cfg : {srgemm::Config{}, small, small_pooled})
+    for (const bool prepacked : {false, true}) {
+      auto C = panel.clone();
+      auto P = ppanel.clone();
+      srgemm::multiply_payload<S>(C.view(), akk.view(), C.view(), pkk.view(),
+                                  P.view(), cfg, prepacked);
+      EXPECT_EQ(max_abs_diff<T>(C_ref.view(), C.view()), 0.0)
+          << m << "x" << b << " tile_k " << cfg.tile_k << " prepacked "
+          << prepacked;
+      for (std::size_t i = 0; i < m; ++i)
+        for (std::size_t j = 0; j < b; ++j)
+          ASSERT_EQ(P_ref(i, j), P(i, j)) << i << "," << j << " tile_k "
+                                          << cfg.tile_k << " prepacked "
+                                          << prepacked;
+    }
+}
+
+TEST(SrgemmPred, ColumnPanelAliasMatchesRowSweep) {
+  // Blocked FW's column panel and dist PanelUpdateCol call the product
+  // with A ≡ C. The argmin kernel must read the pre-update row of A even
+  // after writing earlier fragments of that row; otherwise ties pick a
+  // different t and the preds change.
+  check_column_panel_alias<MinPlus<float>>(70, 48, 601);
+  check_column_panel_alias<MinPlus<std::int32_t>>(37, 67, 602);
+  check_column_panel_alias<MaxMin<float>>(45, 33, 603);
+  check_column_panel_alias<MinPlus<double>>(11, 270, 604);
+}
+
+TEST(SrgemmPred, RowPanelAliasKeepsRowSweep) {
+  // The row panel (B ≡ C) carries dependencies across rows, so it stays on
+  // the row-buffered sweep: recorded under kernel=pred, never argmin, and
+  // equal to the row-buffered oracle.
+  using S = MinPlus<float>;
+  const std::size_t b = 40, n = 90;
+  auto [akk, pkk] = closed_akk<S>(b, 611);
+  Rng rng(612);
+  Matrix<float> strip(b, n);
+  fill_pred_operand<S>(strip, rng, 0.3);
+  Matrix<std::int64_t> pstrip(b, n);
+  for (std::size_t t = 0; t < b; ++t)
+    for (std::size_t j = 0; j < n; ++j)
+      pstrip(t, j) = static_cast<std::int64_t>(t * 1000 + j);
+
+  auto C_ref = strip.clone();
+  auto P_ref = pstrip.clone();
+  row_buffered_oracle<S>(C_ref.view(), P_ref.view(), akk.view(),
+                         C_ref.view(), P_ref.view(), /*a_is_c=*/false,
+                         /*b_is_c=*/true);
+
+  telemetry::Registry& reg = telemetry::Registry::global();
+  const telemetry::Counter& pred = reg.counter("srgemm.calls", "kernel=pred");
+  const telemetry::Counter& argmin =
+      reg.counter("srgemm.calls", "kernel=argmin");
+  const std::uint64_t pred0 = pred.value(), argmin0 = argmin.value();
+  const bool was_enabled = telemetry::enabled();
+  telemetry::set_enabled(true);
+  srgemm::multiply_with_pred<S>(akk.view(), strip.view(), strip.view(),
+                                pstrip.view(), pstrip.view());
+  telemetry::set_enabled(was_enabled);
+  EXPECT_EQ(pred.value() - pred0, 1u);
+  EXPECT_EQ(argmin.value(), argmin0);
+  EXPECT_EQ(max_abs_diff<float>(C_ref.view(), strip.view()), 0.0);
+  for (std::size_t i = 0; i < b; ++i)
+    for (std::size_t j = 0; j < n; ++j)
+      ASSERT_EQ(P_ref(i, j), pstrip(i, j)) << i << "," << j;
 }
 
 TEST(SrgemmPred, EwiseMergeEquivalentToFusedKernel) {
